@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--corpus", required=True)
 
     run = sub.add_parser("experiment", help="run a full experiment grid")
-    run.add_argument("mode", choices=["perturb", "cross"])
+    run.add_argument("mode", choices=["perturb", "cross", "both"],
+                     help="both runs perturb, then cross")
     run.add_argument("--grid", choices=["desk", "full"], default="desk")
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--out-dir", default=_default_out_dir(),
@@ -117,7 +119,7 @@ def _is_corpus_file(path: str) -> bool:
 
 
 def _cmd_check(args) -> int:
-    bad = 0
+    counts = dict.fromkeys(("legal", "illegal", "ambiguous"), 0)
     if _is_corpus_file(args.file):
         corpus = corpuslib.read_corpus(args.file)
         arena = make_arena(parse_type(args.arena or corpus.arena_spec))
@@ -128,16 +130,11 @@ def _cmd_check(args) -> int:
                 found = playlib.justification_assignments(arena, lang, tokens, limit=2)
             except playlib.SearchBudgetExceeded:
                 print(f"play {i}: ambiguous (search budget exceeded)")
-                bad += 1
+                counts["ambiguous"] += 1
                 continue
-            if not found:
-                print(f"play {i}: illegal")
-                bad += 1
-            elif len(found) > 1:
-                print(f"play {i}: ambiguous")
-                bad += 1
-            else:
-                print(f"play {i}: legal")
+            verdict = "illegal" if not found else "ambiguous" if len(found) > 1 else "legal"
+            print(f"play {i}: {verdict}")
+            counts[verdict] += 1
     else:
         if not args.arena or not args.lang:
             raise CliError("pointed-play files need --arena and --lang")
@@ -148,10 +145,12 @@ def _cmd_check(args) -> int:
             verdict = checker(arena, play)
             if verdict.legal:
                 print(f"play {i}: legal")
+                counts["legal"] += 1
             else:
                 print(f"play {i}: illegal {verdict.rule} at {verdict.index}")
-                bad += 1
-    return 1 if bad else 0
+                counts["illegal"] += 1
+    print(" ".join(f"{k}={n}" for k, n in counts.items()), file=sys.stderr)
+    return 1 if counts["illegal"] or counts["ambiguous"] else 0
 
 
 def _cmd_perturb(args) -> int:
@@ -211,25 +210,34 @@ def _cmd_eval(args) -> int:
 def _cmd_experiment(args) -> int:
     spec = exp.ExperimentSpec.full(args.seed) if args.grid == "full" else exp.ExperimentSpec.desk(args.seed)
     if args.epochs:
-        from dataclasses import replace
-
         spec = replace(spec, epochs=args.epochs)
-    runner = (
-        exp.run_perturbation_experiment
-        if args.mode == "perturb"
-        else exp.run_cross_language_experiment
-    )
-    report = runner(spec, threads=args.threads, progress=lambda msg: print(msg, file=sys.stderr))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = exp.emit_report(report, out_dir / f"report_{args.mode}.csv")
-    figures = exp.emit_figure(report, out_dir / args.mode)
-    print(f"report: {csv_path}")
-    for path in figures:
-        print(f"figure: {path}")
-    for label, message in report.failures:
-        print(f"failed cell {label}: {message}", file=sys.stderr)
-    return 1 if report.failures else 0
+    runners = {
+        "perturb": exp.run_perturbation_experiment,
+        "cross": exp.run_cross_language_experiment,
+    }
+    failed = False
+    for mode in runners if args.mode == "both" else [args.mode]:
+        report = runners[mode](
+            spec, threads=args.threads, progress=lambda msg: print(msg, file=sys.stderr)
+        )
+        csv_path = exp.emit_report(report, out_dir / f"report_{mode}.csv")
+        print(f"report: {csv_path}")
+        if report.cells:
+            for path in exp.emit_figure(report, out_dir / mode):
+                print(f"figure: {path}")
+        for cell in report.cells:
+            print(
+                f"{mode} {cell.label()}: train={cell.train_ppl:.3f} "
+                f"validation={cell.validation_ppl:.3f} test={cell.test_ppl:.3f} "
+                f"(val/train={cell.validation_over_train:.2f}, "
+                f"test/val={cell.test_over_validation:.2f})"
+            )
+        for label, message in report.failures:
+            print(f"failed cell {label}: {message}", file=sys.stderr)
+        failed = failed or bool(report.failures)
+    return 1 if failed else 0
 
 
 def _cmd_plot(args) -> int:
@@ -264,6 +272,7 @@ def main(argv=None) -> int:
         UnknownMoveError,
         playlib.SearchBudgetExceeded,
         OSError,
+        ArithmeticError,  # FloatingPointError when training diverges
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -197,43 +198,37 @@ def _run_grid(spec: ExperimentSpec, mode: str, threads: int, progress) -> Report
         for width in spec.widths
         for size in spec.train_sizes
     ]
-    report = Report()
 
     def one(cell):
+        label = "/".join(map(str, cell))
         if progress is not None:
-            progress(f"cell {'/'.join(map(str, cell))}: start")
-        result = run_cell(spec, mode, *cell)
+            progress(f"cell {label}: start")
+        try:
+            result = run_cell(spec, mode, *cell)
+        except Exception as e:  # a failing cell is recorded, the others still run
+            if progress is not None:
+                progress(f"cell {label}: failed\n{traceback.format_exc().rstrip()}")
+            kind = "out of memory" if isinstance(e, MemoryError) else type(e).__name__
+            return label, None, f"{kind}: {e}"
         if progress is not None:
             progress(
-                f"cell {'/'.join(map(str, cell))}: train={result.train_ppl:.3f} "
+                f"cell {label}: train={result.train_ppl:.3f} "
                 f"validation={result.validation_ppl:.3f} test={result.test_ppl:.3f}"
             )
-        return result
+        return label, result, None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(cell, pool.submit(one, cell)) for cell in cells]
-            outcomes = [(cell, _outcome(f)) for cell, f in futures]
+            outcomes = list(pool.map(one, cells))
     else:
-        outcomes = []
-        for cell in cells:
-            try:
-                outcomes.append((cell, (one(cell), None)))
-            except MemoryError as e:
-                outcomes.append((cell, (None, f"out of memory: {e}")))
-    for cell, (result, error) in outcomes:
-        if result is not None:
+        outcomes = [one(cell) for cell in cells]
+    report = Report()
+    for label, result, error in outcomes:
+        if error is None:
             report.cells.append(result)
         else:
-            report.failures.append(("/".join(map(str, cell)), error))
+            report.failures.append((label, error))
     return report
-
-
-def _outcome(future):
-    try:
-        return future.result(), None
-    except MemoryError as e:
-        return None, f"out of memory: {e}"
 
 
 def run_perturbation_experiment(

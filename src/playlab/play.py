@@ -2,18 +2,35 @@
 
 A pointed move carries the move itself, a fresh name for this occurrence,
 and the name of the earlier occurrence that justifies it (``None`` for the
-opening move).  A justified sequence is legal sequential play when it
-additionally alternates players, answers only the most recently unanswered
-question, and keeps every justifier inside the mover's view; it is legal
-concurrent play when every justifier is still pending (fork) and an answer
-arrives only after all questions it spawned are answered (join).
+opening move).  Names are realized as 0-based occurrence indices.  Plays are
+well-opened: exactly one initial move, placed first.
 
-Names are realized as 0-based occurrence indices.  Plays are well-opened:
-exactly one initial move, placed first.
+One state machine, ``_PlayState``, knows the play rules.  It holds a play as
+per-occurrence arrays and checks a move against them in this order,
+reporting the first rule the move breaks:
+
+    justification  fresh name; the initial move opens, first; every other
+                   move points at an earlier occurrence of its enabler
+    seq            alternation  the opponent opens, then players alternate
+                   bracketing   an answer answers the latest pending question
+                   visibility   the justifier is in the mover's view
+    conc           fork         the justifier is still pending
+                   join         an answer waits until every question its
+                                question spawned is answered
+
+``_replay`` maps names to occurrences and checks justification, then asks
+``_PlayState.violation`` for the language's rules before each ``push``; the
+checkers and ``legal_extensions`` are replays.  ``_PlayState.extensions``
+builds the same legal moves constructively, walking only the mover's view,
+for the generator and the pointer search, which ``push`` and ``pop`` one
+state.  Views (Hyland and Ong) are walked by ``_view_positions``, for the
+state and for ``pview``/``oview`` alike.  Fork and join follow Ghica and
+Murawski's concurrent plays.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .arena import (
@@ -141,58 +158,44 @@ def parse_pointed_file(text: str) -> list[PointedPlay]:
     return plays
 
 
-def _positions(play: PointedPlay) -> dict[int, int]:
-    return {pm.name: i for i, pm in enumerate(play.items)}
+def _view_positions(players, justs, appender: str) -> list[int]:
+    """Occurrence positions of the ``appender``'s view, right to left.
 
-
-def check_justified(arena: Arena, play: PointedPlay) -> Verdict:
-    """Well-formedness: fresh names, a single opening initial move first,
-    and every justifier naming an earlier occurrence that enables the move."""
-    seen: dict[int, int] = {}  # name -> move index in arena
-    for i, pm in enumerate(play.items):
-        mi = arena.index(pm.move)  # raises UnknownMoveError
-        if pm.name in seen:
-            return Verdict.fail(JUSTIFICATION, i)
-        enabler = arena.enabler_idx[mi]
-        if pm.justifier is None:
-            if enabler is not None or i != 0:
-                return Verdict.fail(JUSTIFICATION, i)
-        else:
-            if enabler is None:  # initial move must open, not point
-                return Verdict.fail(JUSTIFICATION, i)
-            if pm.justifier not in seen or seen[pm.justifier] != enabler:
-                return Verdict.fail(JUSTIFICATION, i)
-        seen[pm.name] = mi
-    return Verdict.ok()
-
-
-def _view_walk(items: tuple[PointedMove, ...], end: int, appender: str):
-    """Yield the occurrence positions of the ``appender``'s view of
-    items[:end], right to left.  The appender's own moves step left; the
-    other player's moves pull in their justifier and resume to its left;
-    an initial move of the other player ends a proponent view."""
-    pos = {pm.name: k for k, pm in enumerate(items[:end])}
-    i = end - 1
+    Occurrence i belongs to ``players[i]`` and ``justs[i]`` is the position
+    of its justifier, -1 for an opener.  The appender's own moves step left;
+    the other player's moves pull in their justifier and resume to its left;
+    an opening opponent move ends a proponent view.
+    """
+    out = []
+    i = len(players) - 1
     while i >= 0:
-        pm = items[i]
-        yield i
-        if move_player(pm.move) == appender:
+        out.append(i)
+        if players[i] == appender:
             i -= 1
-        elif pm.justifier is None:
-            if appender is not PROPONENT:
-                raise ValueError(f"initial move by the view appender at {i}")
+            continue
+        j = justs[i]
+        if j < 0:
+            if appender != PROPONENT:
+                raise ValueError(f"proponent move without a justifier at {i}")
             break
-        else:
-            j = pos.get(pm.justifier)
-            if j is None or j >= i:
-                raise ValueError(f"unresolved justifier at {i}")
-            yield j
-            i = j - 1
+        if j >= i:
+            raise ValueError(f"unresolved justifier at {i}")
+        out.append(j)
+        i = j - 1
+    return out
 
 
 def _view(play: PointedPlay, appender: str) -> PointedPlay:
-    out = [play.items[k] for k in _view_walk(play.items, len(play.items), appender)]
-    return PointedPlay(tuple(reversed(out)))
+    items = play.items
+    pos = {pm.name: i for i, pm in enumerate(items)}
+    players = [move_player(pm.move) for pm in items]
+    # a dangling pointer resolves to its own position, which the walk rejects
+    justs = [
+        -1 if pm.justifier is None else pos.get(pm.justifier, i)
+        for i, pm in enumerate(items)
+    ]
+    view = _view_positions(players, justs, appender)
+    return PointedPlay(tuple(items[k] for k in reversed(view)))
 
 
 def pview(play: PointedPlay) -> PointedPlay:
@@ -216,109 +219,16 @@ def pending_questions(play: PointedPlay) -> list[int]:
     ]
 
 
-def _justifier_visible(items, i: int, viewer: str, target: int) -> bool:
-    for k in _view_walk(items, i, viewer):
-        if items[k].name == target:
-            return True
-    return False
-
-
-def check_sequential(arena: Arena, play: PointedPlay) -> Verdict:
-    """Alternation, bracketing, and visibility on top of justification.
-
-    Rules are tested per position in the order justification, alternation,
-    bracketing, visibility; the first offending position is reported.
-    """
-    items = play.items
-    seen: dict[int, int] = {}
-    pending: list[int] = []
-    prev_player = None
-    for i, pm in enumerate(items):
-        mi = arena.index(pm.move)
-        # justification
-        if pm.name in seen:
-            return Verdict.fail(JUSTIFICATION, i)
-        enabler = arena.enabler_idx[mi]
-        if pm.justifier is None:
-            if enabler is not None or i != 0:
-                return Verdict.fail(JUSTIFICATION, i)
-        elif enabler is None or pm.justifier not in seen or seen[pm.justifier] != enabler:
-            return Verdict.fail(JUSTIFICATION, i)
-        # alternation
-        player = arena.player[mi]
-        if player == prev_player or (i == 0 and player != OPPONENT):
-            return Verdict.fail(ALTERNATION, i)
-        # bracketing
-        if not arena.is_question[mi]:
-            if not pending or pm.justifier != pending[-1]:
-                return Verdict.fail(BRACKETING, i)
-        # visibility
-        if pm.justifier is not None:
-            if not _justifier_visible(items, i, player, pm.justifier):
-                return Verdict.fail(VISIBILITY, i)
-        seen[pm.name] = mi
-        prev_player = player
-        if arena.is_question[mi]:
-            pending.append(pm.name)
-        else:
-            pending.pop()
-    return Verdict.ok()
-
-
-def check_concurrent(arena: Arena, play: PointedPlay) -> Verdict:
-    """Fork and join on top of justification; no alternation, no views."""
-    seen: dict[int, int] = {}
-    pending: set[int] = set()
-    open_children: dict[int, int] = {}  # question name -> unanswered spawned questions
-    spawned_by: dict[int, int | None] = {}  # question name -> justifier name
-    for i, pm in enumerate(play.items):
-        mi = arena.index(pm.move)
-        # justification
-        if pm.name in seen:
-            return Verdict.fail(JUSTIFICATION, i)
-        enabler = arena.enabler_idx[mi]
-        if pm.justifier is None:
-            if enabler is not None or i != 0:
-                return Verdict.fail(JUSTIFICATION, i)
-        elif enabler is None or pm.justifier not in seen or seen[pm.justifier] != enabler:
-            return Verdict.fail(JUSTIFICATION, i)
-        # fork: the justifying question must still be pending
-        if pm.justifier is not None and pm.justifier not in pending:
-            return Verdict.fail(FORK, i)
-        # join: answering requires every question spawned by it answered
-        if not arena.is_question[mi] and open_children[pm.justifier] > 0:
-            return Verdict.fail(JOIN, i)
-        seen[pm.name] = mi
-        if arena.is_question[mi]:
-            pending.add(pm.name)
-            open_children[pm.name] = 0
-            spawned_by[pm.name] = pm.justifier
-            if pm.justifier is not None:
-                open_children[pm.justifier] += 1
-        else:
-            pending.discard(pm.justifier)
-            parent = spawned_by[pm.justifier]
-            if parent is not None:
-                open_children[parent] -= 1
-    return Verdict.ok()
-
-
-def checker_for(lang: str):
-    if lang == SEQUENTIAL:
-        return check_sequential
-    if lang == CONCURRENT:
-        return check_concurrent
-    raise ValueError(f"unknown language {lang!r}; expected one of {LANGUAGES}")
-
-
 class _PlayState:
-    """Incremental state for growing a legal play one move at a time.
+    """A play held as per-occurrence arrays, one move at a time.
 
-    Occurrences are integers 0..n-1 (also their names).  ``push`` assumes
-    the appended move came from ``extensions``; it does not re-validate.
+    Occurrences are integers 0..n-1 (also their names); a justifier is an
+    occurrence, -1 for the opener.  ``violation`` says whether a move may be
+    appended and ``extensions`` lists every move that may.  ``push`` appends
+    a move without re-validating it; ``pop`` undoes the last ``push``.
     """
 
-    __slots__ = ("arena", "lang", "occ_move", "occ_just", "pending", "open_children")
+    __slots__ = ("arena", "lang", "occ_move", "occ_player", "occ_just", "pending", "open_children")
 
     def __init__(self, arena: Arena, lang: str):
         if lang not in LANGUAGES:
@@ -326,25 +236,42 @@ class _PlayState:
         self.arena = arena
         self.lang = lang
         self.occ_move: list[int] = []  # arena move index per occurrence
+        self.occ_player: list[str] = []  # owner of each occurrence's move
         self.occ_just: list[int] = []  # justifier occurrence, -1 for the opener
         self.pending: list[int] = []  # unanswered question occurrences, oldest first
         self.open_children: list[int] = []  # unanswered questions spawned per occurrence
 
-    def copy(self) -> "_PlayState":
-        dup = _PlayState(self.arena, self.lang)
-        dup.occ_move = self.occ_move[:]
-        dup.occ_just = self.occ_just[:]
-        dup.pending = self.pending[:]
-        dup.open_children = self.open_children[:]
-        return dup
-
     def __len__(self) -> int:
         return len(self.occ_move)
+
+    def violation(self, move_idx: int, justifier: int) -> str | None:
+        """The first rule of the language that appending ``move_idx``,
+        justified by occurrence ``justifier``, breaks; None when none does.
+        The move must already be justified (see ``_replay``)."""
+        arena = self.arena
+        if self.lang == SEQUENTIAL:
+            player = arena.player[move_idx]
+            # the empty play counts as ended by the proponent, so the opponent opens
+            if player == (self.occ_player[-1] if self.occ_player else PROPONENT):
+                return ALTERNATION
+            if not arena.is_question[move_idx]:
+                if not self.pending or self.pending[-1] != justifier:
+                    return BRACKETING
+            if justifier >= 0:
+                if justifier not in _view_positions(self.occ_player, self.occ_just, player):
+                    return VISIBILITY
+        else:
+            if justifier >= 0 and justifier not in self.pending:
+                return FORK
+            if not arena.is_question[move_idx] and self.open_children[justifier] > 0:
+                return JOIN
+        return None
 
     def push(self, move_idx: int, justifier: int) -> None:
         arena = self.arena
         k = len(self.occ_move)
         self.occ_move.append(move_idx)
+        self.occ_player.append(arena.player[move_idx])
         self.occ_just.append(justifier)
         self.open_children.append(0)
         if arena.is_question[move_idx]:
@@ -360,21 +287,22 @@ class _PlayState:
             if parent >= 0:
                 self.open_children[parent] -= 1
 
-    def _view_occurrences(self, appender: str) -> list[int]:
-        arena = self.arena
-        out = []
-        i = len(self.occ_move) - 1
-        while i >= 0:
-            out.append(i)
-            if arena.player[self.occ_move[i]] == appender:
-                i -= 1
-            elif self.occ_just[i] < 0:
-                break  # opening opponent move; ends a proponent view
-            else:
-                j = self.occ_just[i]
-                out.append(j)
-                i = j - 1
-        return out
+    def pop(self) -> None:
+        """Undo the last ``push``.  ``pending`` is kept in occurrence order,
+        so an answered question goes back to its sorted place."""
+        move_idx = self.occ_move.pop()
+        self.occ_player.pop()
+        justifier = self.occ_just.pop()
+        self.open_children.pop()
+        if self.arena.is_question[move_idx]:
+            self.pending.pop()
+            if justifier >= 0:
+                self.open_children[justifier] -= 1
+        else:
+            insort(self.pending, justifier)
+            parent = self.occ_just[justifier]
+            if parent >= 0:
+                self.open_children[parent] += 1
 
     def extensions(self) -> list[tuple[int, int]]:
         """All (move index, justifier occurrence) pairs that extend this
@@ -384,9 +312,8 @@ class _PlayState:
             return [(arena.initial_idx, -1)]
         exts: list[tuple[int, int]] = []
         if self.lang == SEQUENTIAL:
-            last_player = arena.player[self.occ_move[-1]]
-            mover = PROPONENT if last_player == OPPONENT else OPPONENT
-            view = self._view_occurrences(mover)
+            mover = PROPONENT if self.occ_player[-1] == OPPONENT else OPPONENT
+            view = _view_positions(self.occ_player, self.occ_just, mover)
             for occ in view:
                 mi = self.occ_move[occ]
                 if arena.is_question[mi]:
@@ -417,24 +344,67 @@ class _PlayState:
             )
         )
 
-    @classmethod
-    def from_play(cls, arena: Arena, lang: str, play: PointedPlay) -> "_PlayState":
-        """Rebuild state from a play already known to be legal in ``lang``."""
-        state = cls(arena, lang)
-        occ_of = {}
-        for i, pm in enumerate(play.items):
-            occ_of[pm.name] = i
-            state.push(arena.index(pm.move), -1 if pm.justifier is None else occ_of[pm.justifier])
-        return state
+
+def _replay(arena: Arena, play: PointedPlay, state: _PlayState | None = None) -> Verdict:
+    """Replay ``play`` and report its first broken rule.
+
+    Justification is checked here, while names are mapped to occurrences.
+    Given an empty ``state``, each justified move is then checked by
+    ``state.violation`` and pushed, so the state ends holding the longest
+    legal prefix.
+    """
+    seen: dict[int, tuple[int, int]] = {}  # name -> (occurrence, arena move index)
+    for i, pm in enumerate(play.items):
+        mi = arena.index(pm.move)  # raises UnknownMoveError
+        enabler = arena.enabler_idx[mi]
+        if pm.justifier is None:
+            j, justified = -1, enabler is None and i == 0
+        else:
+            j, j_move = seen.get(pm.justifier, (-1, None))
+            justified = enabler is not None and j_move == enabler
+        if pm.name in seen or not justified:
+            return Verdict.fail(JUSTIFICATION, i)
+        if state is not None:
+            rule = state.violation(mi, j)
+            if rule is not None:
+                return Verdict.fail(rule, i)
+            state.push(mi, j)
+        seen[pm.name] = (i, mi)
+    return Verdict.ok()
+
+
+def check_justified(arena: Arena, play: PointedPlay) -> Verdict:
+    """Well-formedness: fresh names, a single opening initial move first,
+    and every justifier naming an earlier occurrence that enables the move."""
+    return _replay(arena, play)
+
+
+def check_sequential(arena: Arena, play: PointedPlay) -> Verdict:
+    """Justification, alternation, bracketing and visibility, in that
+    order per position; the first offending position is reported."""
+    return _replay(arena, play, _PlayState(arena, SEQUENTIAL))
+
+
+def check_concurrent(arena: Arena, play: PointedPlay) -> Verdict:
+    """Justification, fork and join; no alternation, no views."""
+    return _replay(arena, play, _PlayState(arena, CONCURRENT))
+
+
+def checker_for(lang: str):
+    if lang == SEQUENTIAL:
+        return check_sequential
+    if lang == CONCURRENT:
+        return check_concurrent
+    raise ValueError(f"unknown language {lang!r}; expected one of {LANGUAGES}")
 
 
 def legal_extensions(arena: Arena, lang: str, play: PointedPlay) -> list[PointedMove]:
     """Every pointed move that extends ``play`` to a longer legal play,
     in canonical (move, justifier) order."""
-    verdict = checker_for(lang)(arena, play)
+    state = _PlayState(arena, lang)
+    verdict = _replay(arena, play, state)
     if not verdict.legal:
         raise IllegalPlayError(verdict)
-    state = _PlayState.from_play(arena, lang, play)
     name = play.items[-1].name + 1 if play.items else 0
     return [
         PointedMove(arena.moves[mi], name, None if j < 0 else play.items[j].name)
@@ -458,8 +428,9 @@ def justification_assignments(
     want = [arena.index(parse_token(t)) for t in tokens]
     results: list[PointedPlay] = []
     spent = 0
+    state = _PlayState(arena, lang)
 
-    def dfs(state: _PlayState, k: int) -> bool:
+    def dfs(k: int) -> bool:
         nonlocal spent
         if k == len(want):
             results.append(state.to_play())
@@ -470,11 +441,12 @@ def justification_assignments(
             spent += 1
             if spent > budget:
                 raise SearchBudgetExceeded(f"more than {budget} extensions explored")
-            child = state.copy()
-            child.push(mi, j)
-            if dfs(child, k + 1):
+            state.push(mi, j)
+            done = dfs(k + 1)
+            state.pop()
+            if done:
                 return True
         return False
 
-    dfs(_PlayState(arena, lang), 0)
+    dfs(0)
     return results

@@ -108,6 +108,27 @@ class TestCheck:
             "play 2: illegal alternation at 2",
         ]
 
+    def test_count_line_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "c.plays"
+        path.write_text(
+            "#version 1\n#arena unit -> unit\n#language conc\n#seed 0\n#count 3\n"
+            "q@ε a@ε $\n"
+            "a@ε $\n"
+            "q@ε q@1 q@1 a@1 a@1 a@ε $\n",
+            encoding="utf-8",
+        )
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3  # stdout stays one verdict per play
+        assert captured.err == "legal=1 illegal=1 ambiguous=1\n"
+        pointed = tmp_path / "plays.txt"
+        pointed.write_text(
+            format_pointed(SEQ_COMPOSITION_PLAY) + "\n\n" + format_pointed(PAR_COMPOSITION_PLAY),
+            encoding="utf-8",
+        )
+        assert main(["check", str(pointed), "--arena", TWO_ARG, "--lang", "seq"]) == 1
+        assert capsys.readouterr().err == "legal=1 illegal=1 ambiguous=0\n"
+
     def test_pointed_file_needs_arena_and_lang(self, tmp_path, capsys):
         path = tmp_path / "plays.txt"
         path.write_text(format_pointed(SEQ_COMPOSITION_PLAY) + "\n", encoding="utf-8")
@@ -186,6 +207,23 @@ class TestTrainEval:
         ])
         assert code == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("diverge", [
+        ["--lr-schedule", "1e308", "--max-grad-norm", "1e308"],  # FloatingPointError
+        ["--init-scale", "1e6"],  # OverflowError
+    ])
+    def test_diverging_train_is_domain_error(self, tmp_path, capsys, diverge):
+        corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
+        code = main([
+            "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.model"),
+            "--seed", "6", "--embed-dim", "8", "--hidden-dim", "8", "--layers", "1",
+            "--unroll", "4", "--batch", "4", "--epochs", "1", *diverge,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "m.model").exists()
+
 
 TINY_SPEC = exp.ExperimentSpec(
     languages=("seq",),
@@ -234,6 +272,37 @@ class TestExperiment:
         monkeypatch.setenv("PLAYLAB_OUT_DIR", str(tmp_path / "envdir"))
         assert main(["experiment", "perturb", "--seed", "5"]) == 0
         assert (tmp_path / "envdir" / "report_perturb.csv").exists()
+
+    def test_both_modes(self, tmp_path, capsys, tiny_desk):
+        args = ["--seed", "5", "--epochs", "1"]
+        assert main(["experiment", "both", *args, "--out-dir", str(tmp_path / "both")]) == 0
+        out = capsys.readouterr().out
+        for mode in ("perturb", "cross"):
+            assert main(["experiment", mode, *args, "--out-dir", str(tmp_path / mode)]) == 0
+            csv_name = f"report_{mode}.csv"
+            assert (tmp_path / "both" / csv_name).read_bytes() == (
+                tmp_path / mode / csv_name
+            ).read_bytes()
+            assert (tmp_path / "both" / mode / "ppl_seq_40.svg").exists()
+            assert f"{mode} seq/order1/width1/n40: train=" in out
+        assert out.count("val/train=") == 2 and out.count("test/val=") == 2
+
+    def test_failed_cell_reported_and_exit_1(self, tmp_path, capsys, monkeypatch):
+        def diverging(spec, mode, lang, order, width, size):
+            if (lang, order, width) == ("conc", 2, 5):
+                raise FloatingPointError("non-finite loss at window 0")
+            return exp.ReportCell(lang, order, width, size, mode, 2.0, 2.5, 8.0)
+
+        monkeypatch.setattr(exp, "run_cell", diverging)
+        code = main(["experiment", "perturb", "--seed", "5", "--out-dir", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("test/val=") == 7
+        assert (
+            "failed cell conc/2/5/10000: FloatingPointError: non-finite loss at window 0"
+            in captured.err.splitlines()
+        )
+        assert len(exp.parse_report(tmp_path / "report_perturb.csv").cells) == 7
 
 
 class TestPlot:

@@ -151,6 +151,24 @@ class TestGrid:
         assert len(report.cells) == 1 and report.cells[0].lang == SEQUENTIAL
         assert report.failures == [("conc/1/1/40", "out of memory: boom")]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_any_exception_recorded_per_cell(self, monkeypatch, threads):
+        def diverging(spec, mode, lang, order, width, size):
+            if (lang, order, width) == (CONCURRENT, 2, 5):
+                raise FloatingPointError("non-finite loss at window 0")
+            return ReportCell(lang, order, width, size, mode, 2.0, 2.5, 8.0)
+
+        monkeypatch.setattr(experiment, "run_cell", diverging)
+        messages = []
+        report = run_perturbation_experiment(
+            ExperimentSpec.desk(5), threads=threads, progress=messages.append
+        )
+        assert len(report.cells) == 7
+        assert report.failures == [
+            ("conc/2/5/10000", "FloatingPointError: non-finite loss at window 0")
+        ]
+        assert any("cell conc/2/5/10000: failed\nTraceback" in m for m in messages)
+
 
 class TestReportFile:
     def test_header_and_row_count(self, tmp_path):

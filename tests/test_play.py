@@ -15,6 +15,7 @@ from playlab.play import (
     PointedMove,
     PointedPlay,
     Verdict,
+    _PlayState,
     check_concurrent,
     check_justified,
     check_sequential,
@@ -303,6 +304,53 @@ class TestLegalExtensions:
         for play in enumerate_ref_legal(arena, ref, 5):
             got = {(pm.move, pm.justifier) for pm in legal_extensions(arena, lang, play)}
             assert got == brute_force_extensions(arena, lang, play)
+
+
+def replayed_state(arena, lang, play):
+    """A state holding ``play``, whose names are its positions."""
+    state = _PlayState(arena, lang)
+    for pm in play:
+        state.push(arena.index(pm.move), -1 if pm.justifier is None else pm.justifier)
+    return state
+
+
+class TestPlayState:
+    @pytest.mark.parametrize("spec", SMALL_ARENAS)
+    @pytest.mark.parametrize("lang", [SEQUENTIAL, CONCURRENT])
+    def test_extensions_are_the_enabled_moves_without_violation(self, spec, lang):
+        arena = make_arena(parse_type(spec))
+        ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
+        for play in enumerate_ref_legal(arena, ref, 5):
+            state = replayed_state(arena, lang, play)
+            if not play.items:
+                enabled = [(arena.initial_idx, -1)]
+            else:
+                enabled = [
+                    (mi, occ)
+                    for occ, occ_mi in enumerate(state.occ_move)
+                    for mi in range(len(arena))
+                    if arena.enabler_idx[mi] == occ_mi
+                ]
+            allowed = sorted(c for c in enabled if state.violation(*c) is None)
+            assert state.extensions() == allowed
+
+    @pytest.mark.parametrize("spec", SMALL_ARENAS)
+    @pytest.mark.parametrize("lang", [SEQUENTIAL, CONCURRENT])
+    def test_pop_undoes_push(self, spec, lang):
+        arena = make_arena(parse_type(spec))
+        ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
+
+        def fields(state):
+            values = {name: getattr(state, name) for name in _PlayState.__slots__}
+            return {k: v[:] if isinstance(v, list) else v for k, v in values.items()}
+
+        for play in enumerate_ref_legal(arena, ref, 5):
+            state = replayed_state(arena, lang, play)
+            before = fields(state)
+            for mi, j in state.extensions():
+                state.push(mi, j)
+                state.pop()
+                assert fields(state) == before
 
 
 class TestRandomPlays:
