@@ -43,6 +43,8 @@ from .corpus import (
     write_corpus,
 )
 from .experiment import (
+    CROSS_LANGUAGE,
+    PERTURBED,
     ExperimentSpec,
     Report,
     ReportCell,
@@ -51,6 +53,7 @@ from .experiment import (
     parse_report,
     run_cell,
     run_cross_language_experiment,
+    run_grid,
     run_perturbation_experiment,
 )
 from .play import (

@@ -30,6 +30,17 @@ def _default_out_dir() -> str:
     return os.environ.get("PLAYLAB_OUT_DIR", ".")
 
 
+# "both" runs every test mode on one training per cell
+_TEST_MODES = {"perturb": exp.PERTURBED, "cross": exp.CROSS_LANGUAGE}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="playlab",
@@ -81,14 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--corpus", required=True)
 
     run = sub.add_parser("experiment", help="run a full experiment grid")
-    run.add_argument("mode", choices=["perturb", "cross", "both"],
-                     help="both runs perturb, then cross")
+    run.add_argument("mode", choices=[*_TEST_MODES, "both"],
+                     help="both trains each cell once and tests it on both sets")
     run.add_argument("--grid", choices=["desk", "full"], default="desk")
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--out-dir", default=_default_out_dir(),
                      help="output directory (default: $PLAYLAB_OUT_DIR or .)")
-    run.add_argument("--threads", type=int, default=1)
-    run.add_argument("--epochs", type=int, help="override the grid's epoch count")
+    run.add_argument("--threads", type=_positive_int, default=1)
+    run.add_argument("--epochs", type=_positive_int, help="override the grid's epoch count")
 
     plot = sub.add_parser("plot", help="render figures from a report CSV")
     plot.add_argument("--report", required=True)
@@ -209,19 +220,17 @@ def _cmd_eval(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec = exp.ExperimentSpec.full(args.seed) if args.grid == "full" else exp.ExperimentSpec.desk(args.seed)
-    if args.epochs:
+    if args.epochs is not None:
         spec = replace(spec, epochs=args.epochs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runners = {
-        "perturb": exp.run_perturbation_experiment,
-        "cross": exp.run_cross_language_experiment,
-    }
-    failed = False
-    for mode in runners if args.mode == "both" else [args.mode]:
-        report = runners[mode](
-            spec, threads=args.threads, progress=lambda msg: print(msg, file=sys.stderr)
-        )
+    modes = list(_TEST_MODES) if args.mode == "both" else [args.mode]
+    reports = exp.run_grid(
+        spec, tuple(_TEST_MODES[mode] for mode in modes), threads=args.threads,
+        progress=lambda msg: print(msg, file=sys.stderr),
+    )
+    for mode in modes:
+        report = reports[_TEST_MODES[mode]]
         csv_path = exp.emit_report(report, out_dir / f"report_{mode}.csv")
         print(f"report: {csv_path}")
         if report.cells:
@@ -236,8 +245,7 @@ def _cmd_experiment(args) -> int:
             )
         for label, message in report.failures:
             print(f"failed cell {label}: {message}", file=sys.stderr)
-        failed = failed or bool(report.failures)
-    return 1 if failed else 0
+    return 1 if any(report.failures for report in reports.values()) else 0
 
 
 def _cmd_plot(args) -> int:

@@ -1,4 +1,4 @@
-"""Experiment drivers: perturbation detection and cross-language testing.
+"""The experiment driver: perturbation detection and cross-language testing.
 
 Each grid cell (language, arena order, arena width, training size) owns its
 corpora and model.  Corpora come from substreams labeled by role and cell,
@@ -10,7 +10,8 @@ so train, validation, and test data never share a stream:
     perturb     derive_seed(seed, "perturb", ...)
     model init  derive_seed(seed, "model", ...)
 
-A report collects per-cell train/validation/test perplexities; figures are
+``run_grid`` trains each cell once and gives one report per test mode.  A
+report collects per-cell train/validation/test perplexities; figures are
 grouped bar charts (one SVG per language and training size) rendered
 directly from report values.
 """
@@ -18,6 +19,7 @@ directly from report values.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -28,12 +30,14 @@ import numpy as np
 
 from .arena import make_arena, uniform_tree
 from .corpus import Corpus, Vocab, build_vocab, generate_corpus, perturb
+from .fileio import write_atomic
 from .play import CONCURRENT, SEQUENTIAL
 from .rng import derive_seed, substream
 from .seqmodel import LstmModel, ModelConfig, init_model, perplexity, train_model
 
 PERTURBED = "perturbed"
 CROSS_LANGUAGE = "cross-language"
+TEST_MODES = (PERTURBED, CROSS_LANGUAGE)
 
 CSV_HEADER = ["lang", "order", "width", "train_size", "set", "perplexity"]
 BAR_SETS = ("train", "validation", "test")
@@ -148,15 +152,23 @@ def _eval_ppl(model: LstmModel, vocab: Vocab, plays) -> float:
     return perplexity(model, [vocab.encode(seq) for seq in plays]).perplexity
 
 
-def run_cell(
-    spec: ExperimentSpec, mode: str, lang: str, order: int, width: int, size: int
-) -> ReportCell:
-    """Train and evaluate one grid cell.
+def _check_modes(modes: tuple[str, ...]) -> None:
+    for mode in modes:
+        if mode not in TEST_MODES:
+            raise ValueError(f"unknown test mode {mode!r}")
 
-    ``mode`` picks the test set: PERTURBED mutates fresh legal plays of the
-    same language; CROSS_LANGUAGE evaluates legal plays of the other
-    language on the same arena.
+
+def run_cell(
+    spec: ExperimentSpec, modes: tuple[str, ...], lang: str, order: int, width: int, size: int
+) -> list[ReportCell]:
+    """Train one grid cell's model once and evaluate it on each test set.
+
+    ``modes`` picks the test sets, one ReportCell each, in the given order:
+    PERTURBED mutates fresh legal plays of the same language;
+    CROSS_LANGUAGE evaluates legal plays of the other language on the same
+    arena.  Every mode is checked before any work is done.
     """
+    _check_modes(modes)
     arena = make_arena(uniform_tree(order, width))
     cell = (lang, order, width, size)
     model, vocab, train = train_cell_model(spec, *cell)
@@ -164,33 +176,32 @@ def run_cell(
         arena, lang, spec.eval_size, spec.max_len,
         derive_seed(spec.seed, "validation", *cell), spec.p_stop,
     )
-    if mode == PERTURBED:
-        base = generate_corpus(
-            arena, lang, spec.eval_size, spec.max_len,
-            derive_seed(spec.seed, "test", *cell), spec.p_stop,
-        )
-        pseed = derive_seed(spec.seed, "perturb", *cell)
-        test_plays = [
-            perturb(seq, vocab, spec.perturb_ratio, substream(pseed, i))
-            for i, seq in enumerate(base.plays)
-        ]
-    elif mode == CROSS_LANGUAGE:
-        other = CONCURRENT if lang == SEQUENTIAL else SEQUENTIAL
+    train_ppl = _eval_ppl(model, vocab, train.plays)
+    validation_ppl = _eval_ppl(model, vocab, validation.plays)
+    other = CONCURRENT if lang == SEQUENTIAL else SEQUENTIAL
+    results = []
+    for mode in modes:
         test_plays = generate_corpus(
-            arena, other, spec.eval_size, spec.max_len,
-            derive_seed(spec.seed, "test", *cell), spec.p_stop,
+            arena, other if mode == CROSS_LANGUAGE else lang, spec.eval_size,
+            spec.max_len, derive_seed(spec.seed, "test", *cell), spec.p_stop,
         ).plays
-    else:
-        raise ValueError(f"unknown test mode {mode!r}")
-    return ReportCell(
-        lang, order, width, size, mode,
-        _eval_ppl(model, vocab, train.plays),
-        _eval_ppl(model, vocab, validation.plays),
-        _eval_ppl(model, vocab, test_plays),
-    )
+        if mode == PERTURBED:
+            pseed = derive_seed(spec.seed, "perturb", *cell)
+            test_plays = [
+                perturb(seq, vocab, spec.perturb_ratio, substream(pseed, i))
+                for i, seq in enumerate(test_plays)
+            ]
+        test_ppl = _eval_ppl(model, vocab, test_plays)
+        results.append(ReportCell(*cell, mode, train_ppl, validation_ppl, test_ppl))
+    return results
 
 
-def _run_grid(spec: ExperimentSpec, mode: str, threads: int, progress) -> Report:
+def run_grid(
+    spec: ExperimentSpec, modes: tuple[str, ...], threads: int = 1, progress=None
+) -> dict[str, Report]:
+    """Run each grid cell once for all ``modes``; returns one Report per
+    mode.  A cell that raises is a failure in every report; the others run."""
+    _check_modes(modes)
     cells = [
         (lang, order, width, size)
         for lang in spec.languages
@@ -204,31 +215,33 @@ def _run_grid(spec: ExperimentSpec, mode: str, threads: int, progress) -> Report
         if progress is not None:
             progress(f"cell {label}: start")
         try:
-            result = run_cell(spec, mode, *cell)
+            results = run_cell(spec, modes, *cell)
         except Exception as e:  # a failing cell is recorded, the others still run
             if progress is not None:
                 progress(f"cell {label}: failed\n{traceback.format_exc().rstrip()}")
             kind = "out of memory" if isinstance(e, MemoryError) else type(e).__name__
             return label, None, f"{kind}: {e}"
         if progress is not None:
+            tests = " ".join(f"{r.test_kind}={r.test_ppl:.3f}" for r in results)
             progress(
-                f"cell {label}: train={result.train_ppl:.3f} "
-                f"validation={result.validation_ppl:.3f} test={result.test_ppl:.3f}"
+                f"cell {label}: train={results[0].train_ppl:.3f} "
+                f"validation={results[0].validation_ppl:.3f} {tests}"
             )
-        return label, result, None
+        return label, results, None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(one, cells))
     else:
         outcomes = [one(cell) for cell in cells]
-    report = Report()
-    for label, result, error in outcomes:
-        if error is None:
-            report.cells.append(result)
-        else:
-            report.failures.append((label, error))
-    return report
+    reports = {mode: Report() for mode in modes}
+    for label, results, error in outcomes:
+        for i, mode in enumerate(modes):
+            if error is None:
+                reports[mode].cells.append(results[i])
+            else:
+                reports[mode].failures.append((label, error))
+    return reports
 
 
 def run_perturbation_experiment(
@@ -239,28 +252,28 @@ def run_perturbation_experiment(
     A model that has learned the play language scores the perturbed set
     much worse than validation while validation stays close to training.
     """
-    return _run_grid(spec, PERTURBED, threads, progress)
+    return run_grid(spec, (PERTURBED,), threads, progress)[PERTURBED]
 
 
 def run_cross_language_experiment(
     spec: ExperimentSpec, threads: int = 1, progress=None
 ) -> Report:
     """Per cell: train on one language, test on the other (same arena)."""
-    return _run_grid(spec, CROSS_LANGUAGE, threads, progress)
+    return run_grid(spec, (CROSS_LANGUAGE,), threads, progress)[CROSS_LANGUAGE]
 
 
 def emit_report(report: Report, path) -> Path:
-    """CSV, one row per cell and data set, perplexities as full-precision repr."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for cell in report.cells:
-            for name, value in zip(BAR_SETS, cell.values()):
-                writer.writerow(
-                    [cell.lang, cell.order, cell.width, cell.train_size, name, repr(value)]
-                )
-    return path
+    """CSV, one row per cell and data set, perplexities as full-precision repr;
+    written atomically."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(CSV_HEADER)
+    for cell in report.cells:
+        for name, value in zip(BAR_SETS, cell.values()):
+            writer.writerow(
+                [cell.lang, cell.order, cell.width, cell.train_size, name, repr(value)]
+            )
+    return write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def parse_report(path) -> Report:

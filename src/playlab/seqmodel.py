@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .fileio import write_atomic
 from .rng import substream
 
 LN2 = math.log(2.0)
@@ -344,6 +345,9 @@ def clip_gradients(grads: Gradients, max_norm: float) -> float:
     return total
 
 
+# divergence is reported by the finite checks in the window loop, as one
+# error, not by numpy warnings from every overflowing array operation
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_epoch(model: LstmModel, token_ids, epoch: int):
     """One SGD pass over the concatenated token stream.
 
@@ -380,7 +384,12 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
         for _, p in model.params():
             if not np.isfinite(p).all():
                 raise FloatingPointError(f"non-finite parameters after window {w}")
-        log.append(2.0 ** (bits / count))
+        try:
+            log.append(2.0 ** (bits / count))
+        except OverflowError:
+            raise FloatingPointError(
+                f"perplexity overflows at window {w} ({bits / count:.4g} bits per token)"
+            ) from None
     return model, log
 
 
@@ -441,7 +450,7 @@ def perplexity(model: LstmModel, sequences, eval_batch: int = 64) -> Evaluation:
 
 def save_model(model: LstmModel, path) -> None:
     """Versioned container: magic, version, config JSON, parameter arrays
-    in declared order, sha256 of everything before it."""
+    in declared order, sha256 of everything before it; written atomically."""
     blob = model.config.to_json().encode("utf-8")
     payload = bytearray()
     payload += MAGIC
@@ -450,10 +459,8 @@ def save_model(model: LstmModel, path) -> None:
     payload += blob
     for _, p in model.params():
         payload += np.ascontiguousarray(p, dtype=np.float64).tobytes()
-    digest = hashlib.sha256(bytes(payload)).digest()
-    with open(path, "wb") as f:
-        f.write(payload)
-        f.write(digest)
+    payload += hashlib.sha256(bytes(payload)).digest()
+    write_atomic(path, payload)
 
 
 def load_model(path) -> LstmModel:

@@ -1,5 +1,9 @@
+import errno
+import os
+
 import pytest
 
+import playlab.fileio
 from playlab.arena import make_arena, parse_type
 
 from oracles import play_of
@@ -45,3 +49,32 @@ def two_arg_arena():
 @pytest.fixture(scope="session")
 def order2_arena():
     return make_arena(parse_type("(unit -> unit) -> unit"))
+
+
+class _HalfThenFull:
+    """A file that stores the first half of a write, then fails as a full
+    disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture()
+def disk_full_midway(monkeypatch):
+    """Writes through ``playlab.fileio`` fail halfway."""
+    monkeypatch.setattr(
+        playlab.fileio, "open",
+        lambda *args, **kwargs: _HalfThenFull(open(*args, **kwargs)),
+        raising=False,
+    )

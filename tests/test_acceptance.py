@@ -23,7 +23,7 @@ from playlab.corpus import (
     levenshtein,
     perturb,
 )
-from playlab.experiment import ExperimentSpec, train_cell_model, _eval_ppl
+from playlab.experiment import CROSS_LANGUAGE, PERTURBED, ExperimentSpec, run_cell
 from playlab.play import (
     ALTERNATION,
     CONCURRENT,
@@ -106,34 +106,12 @@ def _generated_sample(lang: str, order: int, width: int):
 def _desk_cell_ppls(lang: str) -> dict[str, float]:
     """Train one desk cell and evaluate train/validation/perturbed/cross."""
     spec = replace(ExperimentSpec(), epochs=DESK_EPOCHS)
-    order, width, size = DESK_CELL
-    cell = (lang, order, width, size)
-    arena = make_arena(uniform_tree(order, width))
-    vocab = build_vocab(arena)
-    model, _, train = train_cell_model(spec, *cell)
-    validation = generate_corpus(
-        arena, lang, spec.eval_size, spec.max_len,
-        derive_seed(spec.seed, "validation", *cell), spec.p_stop,
-    )
-    base = generate_corpus(
-        arena, lang, spec.eval_size, spec.max_len,
-        derive_seed(spec.seed, "test", *cell), spec.p_stop,
-    )
-    pseed = derive_seed(spec.seed, "perturb", *cell)
-    perturbed = [
-        perturb(seq, vocab, spec.perturb_ratio, substream(pseed, i))
-        for i, seq in enumerate(base.plays)
-    ]
-    other = CONCURRENT if lang == SEQUENTIAL else SEQUENTIAL
-    cross = generate_corpus(
-        arena, other, spec.eval_size, spec.max_len,
-        derive_seed(spec.seed, "test", *cell), spec.p_stop,
-    )
+    perturbed, cross = run_cell(spec, (PERTURBED, CROSS_LANGUAGE), lang, *DESK_CELL)
     return {
-        "train": _eval_ppl(model, vocab, train.plays),
-        "validation": _eval_ppl(model, vocab, validation.plays),
-        "perturbed": _eval_ppl(model, vocab, perturbed),
-        "cross": _eval_ppl(model, vocab, cross.plays),
+        "train": perturbed.train_ppl,
+        "validation": perturbed.validation_ppl,
+        "perturbed": perturbed.test_ppl,
+        "cross": cross.test_ppl,
     }
 
 

@@ -1,8 +1,12 @@
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import playlab
 import playlab.experiment as exp
 from playlab.cli import main
 from playlab.corpus import read_corpus
@@ -11,6 +15,17 @@ from playlab.play import format_pointed
 from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY
 
 TWO_ARG = "unit -> unit -> unit"
+
+# training runs that diverge: a step that overflows the parameters, and an
+# initialisation so large that the first window's loss overflows
+DIVERGING = [
+    ["--lr-schedule", "1e308", "--max-grad-norm", "1e308"],
+    ["--init-scale", "1e6"],
+]
+
+SUBPROCESS_ENV = dict(
+    os.environ, PYTHONPATH=str(Path(playlab.__file__).resolve().parent.parent)
+)
 
 
 def gen_corpus(tmp_path, name="c.plays", arena="unit", lang="seq", count=30,
@@ -207,11 +222,7 @@ class TestTrainEval:
         ])
         assert code == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("diverge", [
-        ["--lr-schedule", "1e308", "--max-grad-norm", "1e308"],  # FloatingPointError
-        ["--init-scale", "1e6"],  # OverflowError
-    ])
+    @pytest.mark.parametrize("diverge", DIVERGING)
     def test_diverging_train_is_domain_error(self, tmp_path, capsys, diverge):
         corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
         code = main([
@@ -222,7 +233,23 @@ class TestTrainEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert re.search(r" (at|after) window \d+", err), err
         assert not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("diverge", DIVERGING)
+    def test_diverging_train_prints_one_line(self, tmp_path, diverge):
+        # a fresh interpreter shows numpy's RuntimeWarnings, which pytest hides
+        corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
+        result = subprocess.run(
+            [sys.executable, "-m", "playlab.cli",
+             "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.model"),
+             "--seed", "6", "--embed-dim", "8", "--hidden-dim", "8", "--layers", "1",
+             "--unroll", "4", "--batch", "4", "--epochs", "1", *diverge],
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
+        )
+        assert result.returncode == 1
+        one_line = r"error: [^\n]* (at|after) window \d+[^\n]*\n"
+        assert re.fullmatch(one_line, result.stderr), result.stderr
 
 
 TINY_SPEC = exp.ExperimentSpec(
@@ -287,11 +314,34 @@ class TestExperiment:
             assert f"{mode} seq/order1/width1/n40: train=" in out
         assert out.count("val/train=") == 2 and out.count("test/val=") == 2
 
+    def test_both_trains_each_cell_once(self, tmp_path, capsys, tiny_desk, monkeypatch):
+        trained = []
+        real = exp.train_cell_model
+
+        def counting(spec, *cell):
+            trained.append(cell)
+            return real(spec, *cell)
+
+        monkeypatch.setattr(exp, "train_cell_model", counting)
+        assert main(["experiment", "both", "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+        assert trained == [("seq", 1, 1, 40)]
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--threads"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, monkeypatch,
+                                               flag, value):
+        monkeypatch.setattr(exp, "run_grid", lambda *a, **k: pytest.fail("grid ran"))
+        code = main(["experiment", "perturb", "--seed", "5", flag, value,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"{flag}: must be at least 1" in capsys.readouterr().err
+
     def test_failed_cell_reported_and_exit_1(self, tmp_path, capsys, monkeypatch):
-        def diverging(spec, mode, lang, order, width, size):
+        def diverging(spec, modes, lang, order, width, size):
             if (lang, order, width) == ("conc", 2, 5):
                 raise FloatingPointError("non-finite loss at window 0")
-            return exp.ReportCell(lang, order, width, size, mode, 2.0, 2.5, 8.0)
+            return [exp.ReportCell(lang, order, width, size, mode, 2.0, 2.5, 8.0)
+                    for mode in modes]
 
         monkeypatch.setattr(exp, "run_cell", diverging)
         code = main(["experiment", "perturb", "--seed", "5", "--out-dir", str(tmp_path)])

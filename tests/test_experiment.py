@@ -17,6 +17,7 @@ from playlab.experiment import (
     parse_report,
     run_cell,
     run_cross_language_experiment,
+    run_grid,
     run_perturbation_experiment,
     train_cell_model,
 )
@@ -91,23 +92,47 @@ class TestRunCell:
         assert len(train.plays) == 40
 
     def test_perturbed_cell(self):
-        cell = run_cell(TINY, PERTURBED, SEQUENTIAL, 1, 1, 40)
+        [cell] = run_cell(TINY, (PERTURBED,), SEQUENTIAL, 1, 1, 40)
         assert cell.test_kind == PERTURBED
         assert cell.lang == SEQUENTIAL and cell.train_size == 40
         assert all(v >= 1.0 for v in cell.values())
 
     def test_cross_language_cell(self):
-        cell = run_cell(TINY, CROSS_LANGUAGE, SEQUENTIAL, 1, 1, 40)
+        [cell] = run_cell(TINY, (CROSS_LANGUAGE,), SEQUENTIAL, 1, 1, 40)
         assert cell.test_kind == CROSS_LANGUAGE
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            run_cell(TINY, "shuffle", SEQUENTIAL, 1, 1, 40)
+    def test_unknown_mode(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before checking the modes")
+
+        monkeypatch.setattr(experiment, "train_cell_model", no_training)
+        for modes in [("shuffle",), (PERTURBED, "shuffle")]:
+            with pytest.raises(ValueError, match="mode"):
+                run_cell(TINY, modes, SEQUENTIAL, 1, 1, 40)
+            with pytest.raises(ValueError, match="mode"):
+                run_grid(TINY, modes)
 
     def test_deterministic(self):
-        a = run_cell(TINY, PERTURBED, SEQUENTIAL, 1, 1, 40)
-        b = run_cell(TINY, PERTURBED, SEQUENTIAL, 1, 1, 40)
+        a = run_cell(TINY, (PERTURBED,), SEQUENTIAL, 1, 1, 40)
+        b = run_cell(TINY, (PERTURBED,), SEQUENTIAL, 1, 1, 40)
         assert a == b
+
+    def test_multi_mode_trains_once(self, monkeypatch):
+        calls = []
+        real = experiment.train_cell_model
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "train_cell_model", counting)
+        both = run_cell(TINY, (CROSS_LANGUAGE, PERTURBED), SEQUENTIAL, 1, 1, 40)
+        assert len(calls) == 1
+        singles = [
+            run_cell(TINY, (mode,), SEQUENTIAL, 1, 1, 40)[0]
+            for mode in (CROSS_LANGUAGE, PERTURBED)
+        ]
+        assert both == singles
 
 
 class TestGrid:
@@ -128,6 +153,31 @@ class TestGrid:
         assert len(report.cells) == 1
         assert report.cells[0].test_kind == CROSS_LANGUAGE
 
+    def test_grid_of_both_modes_matches_single_mode_runs(self):
+        messages = []
+        reports = run_grid(TINY, (PERTURBED, CROSS_LANGUAGE), threads=2,
+                           progress=messages.append)
+        assert list(reports) == [PERTURBED, CROSS_LANGUAGE]
+        assert reports[PERTURBED].cells == run_perturbation_experiment(TINY).cells
+        assert reports[CROSS_LANGUAGE].cells == run_cross_language_experiment(TINY).cells
+        assert any(
+            re.fullmatch(r"cell seq/1/1/40: train=\S+ validation=\S+ "
+                         r"perturbed=\S+ cross-language=\S+", m)
+            for m in messages
+        )
+
+    def test_failed_cell_recorded_in_every_report(self, monkeypatch):
+        def diverging(spec, modes, lang, order, width, size):
+            raise FloatingPointError("non-finite loss at window 0")
+
+        monkeypatch.setattr(experiment, "run_cell", diverging)
+        reports = run_grid(TINY, (PERTURBED, CROSS_LANGUAGE))
+        for report in reports.values():
+            assert report.cells == []
+            assert report.failures == [
+                ("seq/1/1/40", "FloatingPointError: non-finite loss at window 0")
+            ]
+
     def test_threaded_matches_serial(self):
         serial = run_perturbation_experiment(TINY)
         threaded = run_perturbation_experiment(TINY, threads=2)
@@ -136,10 +186,10 @@ class TestGrid:
     def test_memory_error_recorded_per_cell(self, monkeypatch):
         real = experiment.run_cell
 
-        def flaky(spec, mode, lang, order, width, size):
+        def flaky(spec, modes, lang, order, width, size):
             if lang == CONCURRENT:
                 raise MemoryError("boom")
-            return real(spec, mode, lang, order, width, size)
+            return real(spec, modes, lang, order, width, size)
 
         spec = ExperimentSpec(
             languages=(SEQUENTIAL, CONCURRENT), orders=(1,), widths=(1,),
@@ -153,10 +203,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_any_exception_recorded_per_cell(self, monkeypatch, threads):
-        def diverging(spec, mode, lang, order, width, size):
+        def diverging(spec, modes, lang, order, width, size):
             if (lang, order, width) == (CONCURRENT, 2, 5):
                 raise FloatingPointError("non-finite loss at window 0")
-            return ReportCell(lang, order, width, size, mode, 2.0, 2.5, 8.0)
+            return [ReportCell(lang, order, width, size, mode, 2.0, 2.5, 8.0) for mode in modes]
 
         monkeypatch.setattr(experiment, "run_cell", diverging)
         messages = []
@@ -191,6 +241,14 @@ class TestReportFile:
         ])
         back = parse_report(emit_report(report, tmp_path / "r.csv"))
         assert back.cells[0].train_ppl == 2.0000000000000004
+
+    def test_failed_write_keeps_old_report(self, tmp_path, disk_full_midway):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"old report bytes")
+        with pytest.raises(OSError):
+            emit_report(sample_report(), path)
+        assert path.read_bytes() == b"old report bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "r.csv"

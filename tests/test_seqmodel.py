@@ -370,6 +370,14 @@ class TestContainer:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_keeps_old_model(self, tmp_path, disk_full_midway):
+        path = tmp_path / "m.model"
+        path.write_bytes(b"old model bytes")
+        with pytest.raises(OSError):
+            save_model(init_model(tiny_config()), path)
+        assert path.read_bytes() == b"old model bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+
     def test_perplexity_survives_round_trip(self, tmp_path):
         model = init_model(tiny_config())
         path = tmp_path / "m.model"
