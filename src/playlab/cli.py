@@ -41,6 +41,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rates(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(r) for r in text.split(",") if r)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="playlab",
@@ -51,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random legal-play corpus")
     gen.add_argument("--arena", required=True, help='type expression, e.g. "unit -> unit"')
     gen.add_argument("--lang", required=True, choices=playlib.LANGUAGES)
-    gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--max-len", type=int, default=50)
+    gen.add_argument("--count", type=_positive_int, required=True)
+    gen.add_argument("--max-len", type=_positive_int, default=50)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--complete-only", action="store_true",
                      help="re-roll plays until no questions are left pending")
@@ -76,13 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--corpus", required=True)
     train.add_argument("--out", required=True, help="model container path")
     train.add_argument("--seed", type=int, required=True)
-    train.add_argument("--embed-dim", type=int, default=200)
-    train.add_argument("--hidden-dim", type=int, default=200)
-    train.add_argument("--layers", type=int, default=2)
-    train.add_argument("--unroll", type=int, default=20)
-    train.add_argument("--batch", type=int, default=20)
-    train.add_argument("--epochs", type=int, default=13)
-    train.add_argument("--lr-schedule", default="",
+    train.add_argument("--embed-dim", type=_positive_int, default=200)
+    train.add_argument("--hidden-dim", type=_positive_int, default=200)
+    train.add_argument("--layers", type=_positive_int, default=2)
+    train.add_argument("--unroll", type=_positive_int, default=20)
+    train.add_argument("--batch", type=_positive_int, default=20)
+    train.add_argument("--epochs", type=_positive_int, default=13)
+    train.add_argument("--lr-schedule", type=_rates, default=(),
                        help="comma-separated per-epoch rates (default: 1.0 x4 then halved)")
     train.add_argument("--max-grad-norm", type=float, default=5.0)
     train.add_argument("--init-scale", type=float, default=0.1)
@@ -177,7 +186,6 @@ def _cmd_perturb(args) -> int:
 def _cmd_train(args) -> int:
     corpus = corpuslib.read_corpus(args.corpus)
     vocab = corpuslib.build_vocab(make_arena(parse_type(corpus.arena_spec)))
-    schedule = tuple(float(r) for r in args.lr_schedule.split(",") if r)
     config = seqmodel.ModelConfig(
         vocab_size=len(vocab),
         embed_dim=args.embed_dim,
@@ -186,7 +194,7 @@ def _cmd_train(args) -> int:
         unroll=args.unroll,
         batch=args.batch,
         epochs=args.epochs,
-        lr_schedule=schedule,
+        lr_schedule=args.lr_schedule,
         max_grad_norm=args.max_grad_norm,
         init_scale=args.init_scale,
         seed=args.seed,

@@ -11,6 +11,14 @@ pre-activations are packed along the last axis as [input, forget, output,
 candidate], so the sigmoid gates occupy the first 3H columns.  Token id 0
 is the end-of-play marker and doubles as the start-of-sequence input when
 evaluating a play from a cold state.
+
+Parameter layout: every parameter lives in one contiguous float64
+``LstmModel.vector``.  The named arrays (``embedding``, each
+``cells[l].w_x``, ``w_h``, ``bias``, then ``proj`` and ``proj_bias``) are
+reshaped views into it, in ``params()`` order, with no gap.  Gradients
+mirror it: ``backward`` returns an ``LstmModel`` over a gradient vector,
+so clip scaling, the SGD step and the finite check are each one
+vector operation.  The container payload is the vector's bytes.
 """
 
 from __future__ import annotations
@@ -58,11 +66,13 @@ class ModelConfig:
         for name in ("vocab_size", "embed_dim", "hidden_dim", "layers", "unroll", "batch", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be nonnegative")
+        if not 0 < self.max_grad_norm < math.inf:
+            raise ValueError(f"max_grad_norm must be positive and finite, got {self.max_grad_norm}")
+        if not 0 <= self.init_scale < math.inf:
+            raise ValueError(f"init_scale must be nonnegative and finite, got {self.init_scale}")
         schedule = tuple(float(r) for r in self.lr_schedule)
+        if not all(map(math.isfinite, schedule)):
+            raise ValueError(f"lr_schedule rates must be finite, got {schedule}")
         if not schedule:
             schedule = default_lr_schedule(self.epochs)
         if len(schedule) != self.epochs:
@@ -79,23 +89,34 @@ class ModelConfig:
 
 @dataclass
 class LayerParams:
-    """One LSTM layer; also reused as the gradient holder for that layer."""
+    """One LSTM layer's weights, or their gradients."""
 
     w_x: np.ndarray  # (in_dim, 4H)
     w_h: np.ndarray  # (H, 4H)
     bias: np.ndarray  # (4H,); the forget block is bias[H:2H]
 
 
-@dataclass
 class LstmModel:
-    config: ModelConfig
-    embedding: np.ndarray  # (V, D)
-    cells: list[LayerParams]
-    proj: np.ndarray  # (H, V)
-    proj_bias: np.ndarray  # (V,)
+    """Parameters (or gradients) as named views into one float64 ``vector``."""
+
+    def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
+        size = _param_size(config)
+        vector = np.zeros(size) if vector is None else vector
+        if vector.shape != (size,) or vector.dtype != np.float64 or not vector.flags.c_contiguous:
+            raise ValueError(f"expected a contiguous float64 vector of {size} parameters")
+        self.config, self.vector = config, vector
+        views, offset = [], 0
+        for shape in _param_shapes(config):
+            n = math.prod(shape)
+            views.append(vector[offset : offset + n].reshape(shape))
+            offset += n
+        it = iter(views)
+        self.embedding = next(it)  # (V, D)
+        self.cells = [LayerParams(next(it), next(it), next(it)) for _ in range(config.layers)]
+        self.proj, self.proj_bias = it  # (H, V), (V,)
 
     def params(self) -> list[tuple[str, np.ndarray]]:
-        """(name, array) pairs in serialization order."""
+        """(name, array) pairs in vector order."""
         out = [("embedding", self.embedding)]
         for l, cell in enumerate(self.cells):
             out.append((f"cell{l}.w_x", cell.w_x))
@@ -106,20 +127,10 @@ class LstmModel:
         return out
 
     def param_count(self) -> int:
-        return sum(p.size for _, p in self.params())
+        return self.vector.size
 
     def copy(self) -> "LstmModel":
-        return _assemble(self.config, [p.copy() for _, p in self.params()])
-
-
-@dataclass
-class Gradients:
-    embedding: np.ndarray
-    cells: list[LayerParams]
-    proj: np.ndarray
-    proj_bias: np.ndarray
-
-    params = LstmModel.params  # same traversal order
+        return LstmModel(self.config, self.vector.copy())
 
 
 def _param_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
@@ -133,11 +144,8 @@ def _param_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _assemble(config: ModelConfig, arrays) -> LstmModel:
-    it = iter(arrays)
-    embedding = next(it)
-    cells = [LayerParams(next(it), next(it), next(it)) for _ in range(config.layers)]
-    return LstmModel(config, embedding, cells, next(it), next(it))
+def _param_size(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for shape in _param_shapes(config))
 
 
 def init_model(config: ModelConfig) -> LstmModel:
@@ -148,18 +156,14 @@ def init_model(config: ModelConfig) -> LstmModel:
     projection) so a seed pins the model bit-for-bit.
     """
     rng = substream(config.seed, "init")
-    s = config.init_scale
+    model = LstmModel(config)
+    for _, p in model.params():
+        if p.ndim == 2:
+            p[...] = rng.uniform(-config.init_scale, config.init_scale, p.shape)
     H = config.hidden_dim
-    arrays = []
-    for shape in _param_shapes(config):
-        if len(shape) == 1:
-            arr = np.zeros(shape)
-            if shape[0] == 4 * H:
-                arr[H : 2 * H] = 1.0
-        else:
-            arr = rng.uniform(-s, s, shape)
-        arrays.append(arr)
-    return _assemble(config, arrays)
+    for cell in model.cells:
+        cell.bias[H : 2 * H] = 1.0
+    return model
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -177,14 +181,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def step_cell(x, h, c, layer: LayerParams):
-    """One LSTM cell step: gates from x and h, new cell and hidden state."""
-    H = layer.w_h.shape[0]
-    z = x @ layer.w_x + h @ layer.w_h + layer.bias
+def _gates(z, c):
+    """Gate math from packed pre-activations z and the previous cell state:
+    sigmoid gates, candidate, new cell state, its tanh, new hidden state."""
+    H = z.shape[-1] // 4
     s = _sigmoid(z[..., : 3 * H])
     g = np.tanh(z[..., 3 * H :])
     c2 = s[..., H : 2 * H] * c + s[..., :H] * g
-    h2 = s[..., 2 * H : 3 * H] * np.tanh(c2)
+    tc = np.tanh(c2)
+    return s, g, c2, tc, s[..., 2 * H : 3 * H] * tc
+
+
+def step_cell(x, h, c, layer: LayerParams):
+    """One LSTM cell step: gates from x and h, new cell and hidden state."""
+    _, _, c2, _, h2 = _gates(x @ layer.w_x + h @ layer.w_h + layer.bias, c)
     return h2, c2
 
 
@@ -212,12 +222,7 @@ def _forward_layer(layer: LayerParams, x, h0, c0):
     for t in range(T):
         cache["hprev"][:, t] = h
         cache["cprev"][:, t] = c
-        z = xw[:, t] + h @ layer.w_h + layer.bias
-        s = _sigmoid(z[:, : 3 * H])
-        g = np.tanh(z[:, 3 * H :])
-        c = s[:, H : 2 * H] * c + s[:, :H] * g
-        tc = np.tanh(c)
-        h = s[:, 2 * H : 3 * H] * tc
+        s, g, c, tc, h = _gates(xw[:, t] + h @ layer.w_h + layer.bias, c)
         cache["gates"][:, t] = s
         cache["g"][:, t] = g
         cache["tc"][:, t] = tc
@@ -259,21 +264,26 @@ def forward(model: LstmModel, ids, state=None):
     return logits, new_state
 
 
+def _log_sum_exp(flat):
+    """Row-wise log of the softmax normaliser of a (N, V) logit matrix."""
+    m = flat.max(axis=1)
+    return m + np.log(np.exp(flat - m[:, None]).sum(axis=1))
+
+
 def loss_bits(logits, targets, mask=None):
     """Total cross-entropy in bits over the window and the token count."""
     V = logits.shape[-1]
     flat = logits.reshape(-1, V)
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
-    m = flat.max(axis=1)
-    lse = m + np.log(np.exp(flat - m[:, None]).sum(axis=1))
-    nll = lse - flat[np.arange(flat.shape[0]), tg]
+    nll = _log_sum_exp(flat) - flat[np.arange(flat.shape[0]), tg]
     if mask is not None:
         w = np.asarray(mask).reshape(-1)
         return float(nll[w].sum() / LN2), int(w.sum())
     return float(nll.sum() / LN2), int(tg.size)
 
 
-def _backward_layer(layer: LayerParams, cache, dhs):
+def _backward_layer(layer: LayerParams, cache, dhs, grad: LayerParams):
+    """Writes the layer's gradients into ``grad``; returns the input gradient."""
     B, T, H = dhs.shape
     gates, g, tc = cache["gates"], cache["g"], cache["tc"]
     cprev = cache["cprev"]
@@ -294,11 +304,10 @@ def _backward_layer(layer: LayerParams, cache, dhs):
         dh = dz[:, t] @ layer.w_h.T
         dc = dc * f
     dz_flat = dz.reshape(B * T, 4 * H)
-    gw_x = cache["x"].reshape(B * T, -1).T @ dz_flat
-    gw_h = cache["hprev"].reshape(B * T, H).T @ dz_flat
-    gbias = dz_flat.sum(axis=0)
-    dx = (dz_flat @ layer.w_x.T).reshape(B, T, -1)
-    return dx, LayerParams(gw_x, gw_h, gbias)
+    np.matmul(cache["x"].reshape(B * T, -1).T, dz_flat, out=grad.w_x)
+    np.matmul(cache["hprev"].reshape(B * T, H).T, dz_flat, out=grad.w_h)
+    np.sum(dz_flat, axis=0, out=grad.bias)
+    return (dz_flat @ layer.w_x.T).reshape(B, T, -1)
 
 
 def _step(model: LstmModel, ids, targets, state):
@@ -308,40 +317,38 @@ def _step(model: LstmModel, ids, targets, state):
     B, T, V = logits.shape
     flat = logits.reshape(B * T, V)
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
-    m = flat.max(axis=1)
-    lse = m + np.log(np.exp(flat - m[:, None]).sum(axis=1))
+    lse = _log_sum_exp(flat)
     rows = np.arange(flat.shape[0])
     bits = float((lse - flat[rows, tg]).sum() / LN2)
     dflat = np.exp(flat - lse[:, None])
     dflat[rows, tg] -= 1.0
     dflat /= LN2
+    # every view but the embedding is written in full below
+    grads = LstmModel(model.config, np.empty_like(model.vector))
     top = caches[-1]["top"].reshape(B * T, -1)
-    gproj = top.T @ dflat
-    gproj_bias = dflat.sum(axis=0)
+    np.matmul(top.T, dflat, out=grads.proj)
+    np.sum(dflat, axis=0, out=grads.proj_bias)
     d_out = (dflat @ model.proj.T).reshape(B, T, -1)
-    cell_grads = [None] * len(model.cells)
-    for l in range(len(model.cells) - 1, -1, -1):
-        d_out, cell_grads[l] = _backward_layer(model.cells[l], caches[l], d_out)
-    gemb = np.zeros_like(model.embedding)
-    np.add.at(gemb, ids_arr.reshape(-1), d_out.reshape(B * T, -1))
-    grads = Gradients(gemb, cell_grads, gproj, gproj_bias)
+    for l in reversed(range(len(model.cells))):
+        d_out = _backward_layer(model.cells[l], caches[l], d_out, grads.cells[l])
+    grads.embedding.fill(0.0)
+    np.add.at(grads.embedding, ids_arr.reshape(-1), d_out.reshape(B * T, -1))
     return grads, bits, tg.size, new_state
 
 
-def backward(model: LstmModel, ids, targets, state=None) -> Gradients:
+def backward(model: LstmModel, ids, targets, state=None) -> LstmModel:
     """Exact gradients of ``loss_bits`` over the unrolled window."""
     grads, _, _, _ = _step(model, ids, targets, state)
     return grads
 
 
-def clip_gradients(grads: Gradients, max_norm: float) -> float:
+def clip_gradients(grads: LstmModel, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm;
     returns the pre-clip norm."""
+    # summed per array: one whole-vector dot product rounds differently
     total = math.sqrt(sum(float((g * g).sum()) for _, g in grads.params()))
     if total > max_norm:
-        scale = max_norm / total
-        for _, g in grads.params():
-            g *= scale
+        grads.vector *= max_norm / total
     return total
 
 
@@ -379,11 +386,9 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
         if not math.isfinite(bits):
             raise FloatingPointError(f"non-finite loss at window {w}")
         clip_gradients(grads, config.max_grad_norm)
-        for (_, p), (_, g) in zip(model.params(), grads.params()):
-            p -= lr * g
-        for _, p in model.params():
-            if not np.isfinite(p).all():
-                raise FloatingPointError(f"non-finite parameters after window {w}")
+        model.vector -= lr * grads.vector
+        if not np.isfinite(model.vector).all():
+            raise FloatingPointError(f"non-finite parameters after window {w}")
         try:
             log.append(2.0 ** (bits / count))
         except OverflowError:
@@ -449,16 +454,15 @@ def perplexity(model: LstmModel, sequences, eval_batch: int = 64) -> Evaluation:
 
 
 def save_model(model: LstmModel, path) -> None:
-    """Versioned container: magic, version, config JSON, parameter arrays
-    in declared order, sha256 of everything before it; written atomically."""
+    """Versioned container: magic, version, config JSON, the parameter
+    vector, sha256 of everything before it; written atomically."""
     blob = model.config.to_json().encode("utf-8")
     payload = bytearray()
     payload += MAGIC
     payload += FORMAT_VERSION.to_bytes(4, "little")
     payload += len(blob).to_bytes(8, "little")
     payload += blob
-    for _, p in model.params():
-        payload += np.ascontiguousarray(p, dtype=np.float64).tobytes()
+    payload += model.vector.tobytes()
     payload += hashlib.sha256(bytes(payload)).digest()
     write_atomic(path, payload)
 
@@ -480,15 +484,9 @@ def load_model(path) -> LstmModel:
         config = ModelConfig.from_json(body[16:offset].decode("utf-8"))
     except (ValueError, TypeError) as e:
         raise ModelFormatError(f"bad config block: {e}") from None
-    arrays = []
-    for shape in _param_shapes(config):
-        n = int(np.prod(shape))
-        if offset + 8 * n > len(body):
-            raise ModelFormatError("parameter block shorter than config implies")
-        arrays.append(
-            np.frombuffer(body, np.float64, n, offset).reshape(shape).copy()
-        )
-        offset += 8 * n
-    if offset != len(body):
+    n = _param_size(config)
+    if offset + 8 * n > len(body):
+        raise ModelFormatError("parameter block shorter than config implies")
+    if offset + 8 * n != len(body):
         raise ModelFormatError("trailing bytes after parameter block")
-    return _assemble(config, arrays)
+    return LstmModel(config, np.frombuffer(body, np.float64, n, offset).copy())

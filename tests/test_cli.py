@@ -268,6 +268,14 @@ TINY_SPEC = exp.ExperimentSpec(
 )
 
 
+# a bare flag belongs to `experiment`; the others name their command
+COUNT_FLAGS = [
+    "--epochs", "--threads", "gen --count", "gen --max-len",
+    *(f"train --{name}" for name in
+      ("embed-dim", "hidden-dim", "layers", "unroll", "batch", "epochs")),
+]
+
+
 class TestExperiment:
     @pytest.fixture()
     def tiny_desk(self, monkeypatch):
@@ -326,15 +334,25 @@ class TestExperiment:
         assert main(["experiment", "both", "--seed", "5", "--out-dir", str(tmp_path)]) == 0
         assert trained == [("seq", 1, 1, 40)]
 
-    @pytest.mark.parametrize("flag", ["--epochs", "--threads"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value, flag", [
+        *((value, flag) for value in ("0", "-1") for flag in COUNT_FLAGS),
+        ("1,a", "train --lr-schedule"),
+    ])
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, monkeypatch,
                                                flag, value):
         monkeypatch.setattr(exp, "run_grid", lambda *a, **k: pytest.fail("grid ran"))
-        code = main(["experiment", "perturb", "--seed", "5", flag, value,
-                     "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert f"{flag}: must be at least 1" in capsys.readouterr().err
+        command, _, flag = flag.rpartition(" ")
+        argv = {
+            "": ["experiment", "perturb", "--seed", "5", "--out-dir", str(tmp_path)],
+            "gen": ["gen", "--arena", "unit -> unit", "--lang", "seq", "--count", "1",
+                    "--seed", "5", "--out", str(tmp_path / "c.plays")],
+            "train": ["train", "--corpus", str(tmp_path / "missing.plays"),
+                      "--out", str(tmp_path / "m.model"), "--seed", "5"],
+        }[command]
+        assert main([*argv, flag, value]) == 2
+        wanted = "must be comma-separated numbers" if value == "1,a" else "must be at least 1"
+        assert f"{flag}: {wanted}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_cell_reported_and_exit_1(self, tmp_path, capsys, monkeypatch):
         def diverging(spec, modes, lang, order, width, size):

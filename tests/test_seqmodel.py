@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -70,6 +71,13 @@ class TestConfig:
             tiny_config(hidden_dim=0)
         with pytest.raises(ValueError):
             tiny_config(lr_schedule=(1.0,))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="max_grad_norm"):
+                tiny_config(max_grad_norm=bad)
+            with pytest.raises(ValueError, match="init_scale"):
+                tiny_config(init_scale=bad)
+            with pytest.raises(ValueError, match="lr_schedule"):
+                tiny_config(lr_schedule=(1.0, bad))
 
     def test_default_param_count(self):
         model = init_model(ModelConfig(vocab_size=5))
@@ -79,6 +87,58 @@ class TestConfig:
         # embed V*E + 2 layers of (E*4H + H*4H + 4H) + proj H*V + V
         model = init_model(tiny_config())
         assert model.param_count() == 5 * 4 + 2 * (4 * 16 + 4 * 16 + 16) + 4 * 5 + 5
+
+
+def assert_layout(model):
+    """Every params() array is a writable view into model.vector, and the
+    arrays tile the vector in order with no gap."""
+    vector = model.vector
+    assert vector.dtype == np.float64 and vector.flags.c_contiguous
+    offset = 0
+    for name, p in model.params():
+        assert np.shares_memory(p, vector), name
+        assert p.flags.writeable, name
+        assert p.ctypes.data == vector.ctypes.data + offset * vector.itemsize, name
+        offset += p.size
+    assert offset == vector.size
+
+
+class TestLayout:
+    @pytest.mark.parametrize("source", ["init", "load", "copy"])
+    def test_params_tile_one_vector(self, tmp_path, source):
+        model = init_model(tiny_config())
+        if source == "load":
+            save_model(model, tmp_path / "m.model")
+            model = load_model(tmp_path / "m.model")
+        elif source == "copy":
+            model = model.copy()
+        assert_layout(model)
+
+    def test_copy_shares_no_memory(self):
+        model = init_model(tiny_config())
+        dup = model.copy()
+        for (name, p), (_, q) in zip(model.params(), dup.params()):
+            assert not np.shares_memory(p, q), name
+            assert np.array_equal(p, q), name
+        assert not np.shares_memory(model.vector, dup.vector)
+
+
+class TestPinnedBits:
+    # sha256 of save_model bytes, recorded before the parameters moved into
+    # one vector; trained bits depend on the BLAS build (these are from
+    # numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64)
+    INIT = "02a6929eef05cbf4af6f94a0100d3522032e9c02eb919632c53c7306419086c1"
+    TRAINED = "349859e751d12256216958db96c9a5a0200f98fec985d1a8c9610a351b1827ae"
+
+    def test_container_digests(self, tmp_path):
+        def digest(model):
+            save_model(model, tmp_path / "m.model")
+            return hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
+
+        model = init_model(tiny_config())
+        assert digest(model) == self.INIT
+        train_model(model, substream(5, "corpus").integers(0, 5, 200))
+        assert digest(model) == self.TRAINED
 
 
 class TestInit:
@@ -105,6 +165,8 @@ class TestInit:
             assert not layer.bias[:H].any()
             assert not layer.bias[2 * H :].any()
         assert not model.proj_bias.any()
+        # the forget-gate block is an LSTM rule, also when proj_bias has 4H entries
+        assert not init_model(tiny_config(vocab_size=4 * H)).proj_bias.any()
 
     def test_zero_scale(self):
         model = init_model(tiny_config(init_scale=0.0))
@@ -251,6 +313,8 @@ class TestBackward:
         ]
         for (_, g), (_, p) in zip(grads.params(), model.params()):
             assert g.shape == p.shape
+        assert_layout(grads)
+        assert not np.shares_memory(grads.vector, model.vector)
 
 
 class TestClip:
