@@ -41,6 +41,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _ratio(text: str) -> float:
+    try:
+        value = float(text)
+        if 0 < value <= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
+
+
 def _rates(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(r) for r in text.split(",") if r)
@@ -75,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pert = sub.add_parser("perturb", help="apply random token edits to a corpus")
     pert.add_argument("file", help="corpus file")
-    pert.add_argument("--ratio", type=float, default=0.1)
+    pert.add_argument("--ratio", type=_ratio, default=0.1)
     pert.add_argument("--seed", type=int, required=True)
     pert.add_argument("--require-illegal", action="store_true",
                       help="re-roll until no pointer reconstruction is legal")
@@ -116,11 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _write_corpus(corpus: corpuslib.Corpus, path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(corpuslib.corpus_text(corpus))
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        corpuslib.write_corpus(corpus, path)
 
 
 def _cmd_gen(args) -> int:
@@ -129,7 +139,7 @@ def _cmd_gen(args) -> int:
         arena, args.lang, args.count, args.max_len, args.seed,
         complete_only=args.complete_only,
     )
-    _write_text(corpuslib.corpus_text(corpus), args.out)
+    _write_corpus(corpus, args.out)
     return 0
 
 
@@ -175,11 +185,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_perturb(args) -> int:
     corpus = corpuslib.read_corpus(args.file)
-    arena = make_arena(parse_type(corpus.arena_spec))
     mutated = corpuslib.perturb_corpus(
-        corpus, arena, args.ratio, args.seed, require_illegal=args.require_illegal
+        corpus, args.ratio, args.seed, require_illegal=args.require_illegal
     )
-    _write_text(corpuslib.corpus_text(mutated), args.out)
+    _write_corpus(mutated, args.out)
     return 0
 
 

@@ -14,10 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arena import Arena, make_arena, parse_type, render_type
-from .play import LANGUAGES, PointedPlay, _PlayState, pending_questions
+from .fileio import write_atomic
+from .play import LANGUAGES, PointedPlay, _PlayState, justification_assignments, pending_questions
 from .rng import substream
 
 EOP = "$"
+
+P_STOP = 0.05  # chance of stopping at each nonempty prefix with no pending question
+MAX_ATTEMPTS = 500  # re-rolls per play before perturb_corpus gives up on illegality
 
 TokenSeq = tuple[str, ...]
 
@@ -71,11 +75,11 @@ class Corpus:
 
 
 def generate_play(
-    arena: Arena, lang: str, max_len: int, rng: np.random.Generator, p_stop: float = 0.05
+    arena: Arena, lang: str, max_len: int, rng: np.random.Generator
 ) -> PointedPlay:
     """One random legal play of length <= max_len.
 
-    Each step first offers to stop (probability ``p_stop``) when the play is
+    Each step first offers to stop (probability ``P_STOP``) when the play is
     nonempty and has no pending questions, then appends a uniform choice
     among the legal extensions; generation also stops when no extension
     exists or the length cap is reached.
@@ -85,7 +89,7 @@ def generate_play(
     state = _PlayState(arena, lang)
     while len(state) < max_len:
         if state.occ_move and not state.pending:
-            if rng.random() < p_stop:
+            if rng.random() < P_STOP:
                 break
         exts = state.extensions()
         if not exts:
@@ -110,7 +114,6 @@ def generate_corpus(
     count: int,
     max_len: int,
     seed: int,
-    p_stop: float = 0.05,
     complete_only: bool = False,
 ) -> Corpus:
     """``count`` independent plays; play i is drawn from substream (seed, i).
@@ -126,12 +129,12 @@ def generate_corpus(
     plays = []
     for i in range(count):
         rng = substream(seed, i)
-        play = generate_play(arena, lang, max_len, rng, p_stop)
+        play = generate_play(arena, lang, max_len, rng)
         if complete_only:
             for _ in range(1000):
                 if is_complete(play):
                     break
-                play = generate_play(arena, lang, max_len, rng, p_stop)
+                play = generate_play(arena, lang, max_len, rng)
             else:
                 raise ValueError(f"no complete play found for substream ({seed}, {i})")
         plays.append(elide(play))
@@ -151,8 +154,7 @@ def corpus_text(corpus: Corpus) -> str:
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(corpus_text(corpus))
+    write_atomic(path, corpus_text(corpus).encode("utf-8"))
 
 
 def _header_value(line: str, lineno: int, key: str) -> str:
@@ -249,34 +251,28 @@ def perturb(
 
 
 def perturb_corpus(
-    corpus: Corpus,
-    arena: Arena,
-    ratio: float,
-    seed: int,
-    require_illegal: bool = False,
-    max_attempts: int = 500,
+    corpus: Corpus, ratio: float, seed: int, require_illegal: bool = False
 ) -> Corpus:
-    """Perturb every play, one substream per play index.
+    """Perturb every play in the corpus's arena, one substream per play index.
 
     With ``require_illegal`` each play is re-rolled until no justification
     assignment makes it legal in the corpus language (checked by pointer
     reconstruction).
     """
-    from .play import justification_assignments
-
+    arena = make_arena(parse_type(corpus.arena_spec))
     vocab = build_vocab(arena)
     out = []
     for i, seq in enumerate(corpus.plays):
         rng = substream(seed, i)
         mutated = perturb(seq, vocab, ratio, rng)
         if require_illegal:
-            for _ in range(max_attempts):
+            for _ in range(MAX_ATTEMPTS):
                 if not justification_assignments(
                     arena, corpus.language, _core(mutated), limit=1
                 ):
                     break
                 mutated = perturb(seq, vocab, ratio, rng)
             else:
-                raise ValueError(f"play {i}: no illegal perturbation in {max_attempts} tries")
+                raise ValueError(f"play {i}: no illegal perturbation in {MAX_ATTEMPTS} tries")
         out.append(mutated)
     return Corpus(corpus.arena_spec, corpus.language, seed, out)

@@ -43,6 +43,8 @@ CSV_HEADER = ["lang", "order", "width", "train_size", "set", "perplexity"]
 BAR_SETS = ("train", "validation", "test")
 BAR_COLORS = {"train": "navy", "validation": "turquoise", "test": "yellow"}
 
+PERTURB_RATIO = 0.1  # share of each test play's tokens that perturbation edits
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -59,10 +61,7 @@ class ExperimentSpec:
     train_sizes: tuple[int, ...] = (10_000,)
     eval_size: int = 10_000
     max_len: int = 50
-    p_stop: float = 0.05
-    perturb_ratio: float = 0.1
     hidden_dim: int = 128
-    embed_dim: int | None = None  # None: same as hidden_dim
     layers: int = 2
     unroll: int = 20
     batch: int = 20
@@ -86,7 +85,7 @@ class ExperimentSpec:
     def model_config(self, vocab_size: int, seed: int) -> ModelConfig:
         return ModelConfig(
             vocab_size=vocab_size,
-            embed_dim=self.embed_dim or self.hidden_dim,
+            embed_dim=self.hidden_dim,
             hidden_dim=self.hidden_dim,
             layers=self.layers,
             unroll=self.unroll,
@@ -140,7 +139,7 @@ def train_cell_model(
     vocab = build_vocab(arena)
     cell = (lang, order, width, size)
     train = generate_corpus(
-        arena, lang, size, spec.max_len, derive_seed(spec.seed, "train", *cell), spec.p_stop
+        arena, lang, size, spec.max_len, derive_seed(spec.seed, "train", *cell)
     )
     config = spec.model_config(len(vocab), derive_seed(spec.seed, "model", *cell))
     model = init_model(config)
@@ -174,7 +173,7 @@ def run_cell(
     model, vocab, train = train_cell_model(spec, *cell)
     validation = generate_corpus(
         arena, lang, spec.eval_size, spec.max_len,
-        derive_seed(spec.seed, "validation", *cell), spec.p_stop,
+        derive_seed(spec.seed, "validation", *cell),
     )
     train_ppl = _eval_ppl(model, vocab, train.plays)
     validation_ppl = _eval_ppl(model, vocab, validation.plays)
@@ -183,12 +182,12 @@ def run_cell(
     for mode in modes:
         test_plays = generate_corpus(
             arena, other if mode == CROSS_LANGUAGE else lang, spec.eval_size,
-            spec.max_len, derive_seed(spec.seed, "test", *cell), spec.p_stop,
+            spec.max_len, derive_seed(spec.seed, "test", *cell),
         ).plays
         if mode == PERTURBED:
             pseed = derive_seed(spec.seed, "perturb", *cell)
             test_plays = [
-                perturb(seq, vocab, spec.perturb_ratio, substream(pseed, i))
+                perturb(seq, vocab, PERTURB_RATIO, substream(pseed, i))
                 for i, seq in enumerate(test_plays)
             ]
         test_ppl = _eval_ppl(model, vocab, test_plays)
@@ -390,7 +389,5 @@ def emit_figure(report: Report, out_dir) -> list[Path]:
             for c in sorted(cells, key=lambda c: (c.order, c.width))
         ]
         svg = _bar_chart(f"{lang} plays, {size} training plays", groups)
-        path = out_dir / f"ppl_{lang}_{size}.svg"
-        path.write_text(svg, encoding="utf-8")
-        paths.append(path)
+        paths.append(write_atomic(out_dir / f"ppl_{lang}_{size}.svg", svg.encode("utf-8")))
     return paths

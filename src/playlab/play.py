@@ -55,6 +55,8 @@ VISIBILITY = "visibility"
 FORK = "fork"
 JOIN = "join"
 
+SEARCH_BUDGET = 1_000_000  # extensions the pointer search explores before giving up
+
 
 class IllegalPlayError(ValueError):
     """Raised when an operation requires a legal play and gets an illegal one."""
@@ -112,12 +114,6 @@ class PointedPlay:
     def append(self, move: MoveId, justifier: int | None) -> "PointedPlay":
         name = self.items[-1].name + 1 if self.items else 0
         return PointedPlay(self.items + (PointedMove(move, name, justifier),))
-
-    def moves(self) -> tuple[MoveId, ...]:
-        return tuple(pm.move for pm in self.items)
-
-    def names(self) -> tuple[int, ...]:
-        return tuple(pm.name for pm in self.items)
 
     @classmethod
     def from_pairs(cls, pairs) -> "PointedPlay":
@@ -417,13 +413,13 @@ def justification_assignments(
     lang: str,
     tokens,
     limit: int = 2,
-    budget: int = 1_000_000,
 ) -> list[PointedPlay]:
     """Pointer reconstructions of a bare token sequence: all ways (up to
     ``limit``) of assigning justifiers so the result is legal in ``lang``.
 
     Token order is kept; the search walks legal extensions only, so every
-    returned play is legal by construction.
+    returned play is legal by construction.  Raises SearchBudgetExceeded
+    once it has explored more than ``SEARCH_BUDGET`` extensions.
     """
     want = [arena.index(parse_token(t)) for t in tokens]
     results: list[PointedPlay] = []
@@ -439,8 +435,8 @@ def justification_assignments(
             if mi != want[k]:
                 continue
             spent += 1
-            if spent > budget:
-                raise SearchBudgetExceeded(f"more than {budget} extensions explored")
+            if spent > SEARCH_BUDGET:
+                raise SearchBudgetExceeded(f"more than {SEARCH_BUDGET} extensions explored")
             state.push(mi, j)
             done = dfs(k + 1)
             state.pop()

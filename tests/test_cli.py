@@ -62,6 +62,15 @@ class TestGen:
                      "--count", "1", "--seed", "0"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_failed_write_keeps_old_corpus(self, tmp_path, capsys, disk_full_midway):
+        path = tmp_path / "c.plays"
+        path.write_bytes(b"old corpus bytes")
+        assert main(["gen", "--arena", "unit", "--lang", "seq", "--count", "3",
+                     "--seed", "1", "--out", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert path.read_bytes() == b"old corpus bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.plays"]
+
 
 class TestCheck:
     def test_generated_seq_corpus_is_legal(self, tmp_path, capsys):
@@ -69,6 +78,16 @@ class TestCheck:
         assert main(["check", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"play {i}: legal" for i in range(1, 13)]
+
+    def test_search_budget_exceeded_is_ambiguous(self, tmp_path, capsys, monkeypatch):
+        path = gen_corpus(tmp_path, arena=TWO_ARG, lang="seq", count=4)
+        monkeypatch.setattr(playlab.play, "SEARCH_BUDGET", 1)
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            f"play {i}: ambiguous (search budget exceeded)" for i in range(1, 5)
+        ]
+        assert captured.err == "legal=0 illegal=0 ambiguous=4\n"
 
     def test_generated_conc_corpus_never_illegal(self, tmp_path, capsys):
         # elision can make pointers ambiguous, but some reconstruction exists
@@ -260,7 +279,6 @@ TINY_SPEC = exp.ExperimentSpec(
     eval_size=10,
     max_len=10,
     hidden_dim=8,
-    embed_dim=8,
     layers=1,
     unroll=4,
     batch=4,
@@ -337,6 +355,7 @@ class TestExperiment:
     @pytest.mark.parametrize("value, flag", [
         *((value, flag) for value in ("0", "-1") for flag in COUNT_FLAGS),
         ("1,a", "train --lr-schedule"),
+        *((value, "perturb --ratio") for value in ("0", "1.5", "-1", "nan", "abc")),
     ])
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, monkeypatch,
                                                flag, value):
@@ -348,9 +367,14 @@ class TestExperiment:
                     "--seed", "5", "--out", str(tmp_path / "c.plays")],
             "train": ["train", "--corpus", str(tmp_path / "missing.plays"),
                       "--out", str(tmp_path / "m.model"), "--seed", "5"],
+            "perturb": ["perturb", str(tmp_path / "missing.plays"), "--seed", "5",
+                        "--out", str(tmp_path / "p.plays")],
         }[command]
         assert main([*argv, flag, value]) == 2
-        wanted = "must be comma-separated numbers" if value == "1,a" else "must be at least 1"
+        wanted = {
+            "--lr-schedule": "must be comma-separated numbers",
+            "--ratio": "must be in (0, 1]",
+        }.get(flag, "must be at least 1")
         assert f"{flag}: {wanted}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

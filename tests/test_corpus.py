@@ -283,13 +283,13 @@ class TestPerturb:
 class TestPerturbCorpus:
     def test_deterministic(self, order2_arena):
         corpus = generate_corpus(order2_arena, SEQUENTIAL, 20, 30, seed=5)
-        a = perturb_corpus(corpus, order2_arena, 0.1, seed=17)
-        b = perturb_corpus(corpus, order2_arena, 0.1, seed=17)
+        a = perturb_corpus(corpus, 0.1, seed=17)
+        b = perturb_corpus(corpus, 0.1, seed=17)
         assert a.plays == b.plays
 
     def test_require_illegal(self, order2_arena):
         corpus = generate_corpus(order2_arena, SEQUENTIAL, 15, 30, seed=5)
-        out = perturb_corpus(corpus, order2_arena, 0.1, seed=23, require_illegal=True)
+        out = perturb_corpus(corpus, 0.1, seed=23, require_illegal=True)
         for seq in out.plays:
             tokens = [t for t in seq if t != EOP]
             assert justification_assignments(order2_arena, SEQUENTIAL, tokens, limit=1) == []

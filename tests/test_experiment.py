@@ -31,7 +31,6 @@ TINY = ExperimentSpec(
     eval_size=20,
     max_len=10,
     hidden_dim=8,
-    embed_dim=8,
     layers=1,
     unroll=4,
     batch=4,
@@ -72,7 +71,7 @@ class TestSpec:
         assert config.seed == 12
 
     def test_embed_dim_defaults_to_hidden(self):
-        spec = ExperimentSpec(embed_dim=None, hidden_dim=64)
+        spec = ExperimentSpec(hidden_dim=64)
         assert spec.model_config(5, 0).embed_dim == 64
 
 
@@ -140,7 +139,7 @@ class TestGrid:
         spec = ExperimentSpec(
             languages=(SEQUENTIAL, CONCURRENT), orders=(1,), widths=(1,),
             train_sizes=(40,), eval_size=10, max_len=10,
-            hidden_dim=8, embed_dim=8, layers=1, unroll=4, batch=4, epochs=1, seed=5,
+            hidden_dim=8, layers=1, unroll=4, batch=4, epochs=1, seed=5,
         )
         messages = []
         report = run_perturbation_experiment(spec, progress=messages.append)
@@ -194,7 +193,7 @@ class TestGrid:
         spec = ExperimentSpec(
             languages=(SEQUENTIAL, CONCURRENT), orders=(1,), widths=(1,),
             train_sizes=(40,), eval_size=10, max_len=10,
-            hidden_dim=8, embed_dim=8, layers=1, unroll=4, batch=4, epochs=1, seed=5,
+            hidden_dim=8, layers=1, unroll=4, batch=4, epochs=1, seed=5,
         )
         monkeypatch.setattr(experiment, "run_cell", flaky)
         report = run_perturbation_experiment(spec)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import playlab.play
 from playlab.arena import make_arena, parse_token, parse_type, uniform_tree
 from playlab.play import (
     ALTERNATION,
@@ -14,6 +15,7 @@ from playlab.play import (
     IllegalPlayError,
     PointedMove,
     PointedPlay,
+    SearchBudgetExceeded,
     Verdict,
     _PlayState,
     check_concurrent,
@@ -415,3 +417,13 @@ class TestJustificationAssignments:
 
     def test_empty_tokens(self, unit_arena):
         assert justification_assignments(unit_arena, SEQUENTIAL, []) == [PointedPlay()]
+
+    def test_search_budget_exceeded(self, two_arg_arena, monkeypatch):
+        tokens = [pm.move.token for pm in SEQ_COMPOSITION_PLAY]
+        monkeypatch.setattr(playlab.play, "SEARCH_BUDGET", len(tokens) - 1)
+        with pytest.raises(SearchBudgetExceeded, match=f"more than {len(tokens) - 1} "):
+            justification_assignments(two_arg_arena, SEQUENTIAL, tokens)
+        monkeypatch.setattr(playlab.play, "SEARCH_BUDGET", len(tokens))
+        assert justification_assignments(two_arg_arena, SEQUENTIAL, tokens) == [
+            SEQ_COMPOSITION_PLAY
+        ]
