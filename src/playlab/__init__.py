@@ -13,7 +13,6 @@ from .arena import (
     TypeSyntaxError,
     TypeTree,
     UnknownMoveError,
-    arena_dump,
     arena_order,
     arena_width,
     enabler_of,

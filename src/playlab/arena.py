@@ -275,14 +275,3 @@ def enabler_of(arena: Arena, move: MoveId) -> MoveId | None:
     """The unique enabling move, or None for the initial move."""
     e = arena.enabler_idx[arena.index(move)]
     return None if e is None else arena.moves[e]
-
-
-def arena_dump(arena: Arena) -> str:
-    """One line per move in canonical order: token, polarity, enabler."""
-    lines = []
-    for i, m in enumerate(arena.moves):
-        kind = QUESTION if arena.is_question[i] else ANSWER
-        e = arena.enabler_idx[i]
-        enabler = "*" if e is None else arena.moves[e].token
-        lines.append(f"{m.token} {arena.player[i]}{kind} {enabler}")
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ import numpy as np
 
 from .arena import Arena, make_arena, parse_type, render_type
 from .fileio import write_atomic
-from .play import LANGUAGES, PointedPlay, _PlayState, justification_assignments, pending_questions
+from .play import (LANGUAGES, PointedPlay, SearchBudgetExceeded, _PlayState,
+                   justification_assignments, pending_questions)
 from .rng import substream
 
 EOP = "$"
@@ -45,9 +46,6 @@ class Vocab:
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocab) and self.tokens == other.tokens
 
     def encode(self, seq: TokenSeq) -> np.ndarray:
         try:
@@ -267,10 +265,13 @@ def perturb_corpus(
         mutated = perturb(seq, vocab, ratio, rng)
         if require_illegal:
             for _ in range(MAX_ATTEMPTS):
-                if not justification_assignments(
-                    arena, corpus.language, _core(mutated), limit=1
-                ):
-                    break
+                try:
+                    if not justification_assignments(
+                        arena, corpus.language, _core(mutated), limit=1
+                    ):
+                        break
+                except SearchBudgetExceeded:
+                    pass  # not shown illegal, as `check` calls it ambiguous: re-roll
                 mutated = perturb(seq, vocab, ratio, rng)
             else:
                 raise ValueError(f"play {i}: no illegal perturbation in {MAX_ATTEMPTS} tries")

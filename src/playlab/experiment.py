@@ -29,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from .arena import make_arena, uniform_tree
-from .corpus import Corpus, Vocab, build_vocab, generate_corpus, perturb
+from .corpus import Corpus, Vocab, build_vocab, generate_corpus, perturb_corpus
 from .fileio import write_atomic
 from .play import CONCURRENT, SEQUENTIAL
-from .rng import derive_seed, substream
+from .rng import derive_seed
 from .seqmodel import LstmModel, ModelConfig, init_model, perplexity, train_model
 
 PERTURBED = "perturbed"
@@ -180,17 +180,13 @@ def run_cell(
     other = CONCURRENT if lang == SEQUENTIAL else SEQUENTIAL
     results = []
     for mode in modes:
-        test_plays = generate_corpus(
+        test = generate_corpus(
             arena, other if mode == CROSS_LANGUAGE else lang, spec.eval_size,
             spec.max_len, derive_seed(spec.seed, "test", *cell),
-        ).plays
+        )
         if mode == PERTURBED:
-            pseed = derive_seed(spec.seed, "perturb", *cell)
-            test_plays = [
-                perturb(seq, vocab, PERTURB_RATIO, substream(pseed, i))
-                for i, seq in enumerate(test_plays)
-            ]
-        test_ppl = _eval_ppl(model, vocab, test_plays)
+            test = perturb_corpus(test, PERTURB_RATIO, derive_seed(spec.seed, "perturb", *cell))
+        test_ppl = _eval_ppl(model, vocab, test.plays)
         results.append(ReportCell(*cell, mode, train_ppl, validation_ppl, test_ppl))
     return results
 

@@ -175,12 +175,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _gates(z, c):
     """Gate math from packed pre-activations z and the previous cell state:
     sigmoid gates, candidate, new cell state, its tanh, new hidden state."""
@@ -205,29 +199,31 @@ def zero_state(config: ModelConfig, batch: int):
     ]
 
 
+@dataclass
+class _LayerRecord:
+    """What one layer's forward pass keeps for backward, each value once."""
+
+    x: np.ndarray  # (B, T, in_dim) input
+    h0: np.ndarray  # (B, H) initial hidden state
+    c0: np.ndarray  # (B, H) initial cell state
+    hs: np.ndarray  # (B, T, H) hidden states, also the layer's output
+    cs: np.ndarray  # (B, T, H) cell states
+    acts: np.ndarray  # (B, T, 4H) gate activations, packed [i f o g]
+    tc: np.ndarray  # (B, T, H) tanh of the cell states
+
+
 def _forward_layer(layer: LayerParams, x, h0, c0):
     B, T, _ = x.shape
     H = layer.w_h.shape[0]
     xw = (x.reshape(B * T, -1) @ layer.w_x).reshape(B, T, 4 * H)
-    cache = {
-        "x": x,
-        "hprev": np.empty((B, T, H)),
-        "cprev": np.empty((B, T, H)),
-        "gates": np.empty((B, T, 3 * H)),
-        "g": np.empty((B, T, H)),
-        "tc": np.empty((B, T, H)),
-    }
-    hs = np.empty((B, T, H))
+    rec = _LayerRecord(x, h0, c0, *(np.empty((B, T, n)) for n in (H, H, 4 * H, H)))
     h, c = h0, c0
     for t in range(T):
-        cache["hprev"][:, t] = h
-        cache["cprev"][:, t] = c
         s, g, c, tc, h = _gates(xw[:, t] + h @ layer.w_h + layer.bias, c)
-        cache["gates"][:, t] = s
-        cache["g"][:, t] = g
-        cache["tc"][:, t] = tc
-        hs[:, t] = h
-    return hs, (h, c), cache
+        rec.acts[:, t, : 3 * H] = s
+        rec.acts[:, t, 3 * H :] = g
+        rec.hs[:, t], rec.cs[:, t], rec.tc[:, t] = h, c, tc
+    return rec, (h, c)
 
 
 def _forward(model: LstmModel, ids, state):
@@ -241,17 +237,17 @@ def _forward(model: LstmModel, ids, state):
     if state is None:
         state = zero_state(config, B)
     x = model.embedding[ids]
-    caches = []
+    records = []
     new_state = []
     for layer, (h0, c0) in zip(model.cells, state):
-        x, hc, cache = _forward_layer(layer, x, h0, c0)
-        caches.append(cache)
+        rec, hc = _forward_layer(layer, x, h0, c0)
+        records.append(rec)
         new_state.append(hc)
+        x = rec.hs
     logits = (x.reshape(B * T, -1) @ model.proj + model.proj_bias).reshape(
         B, T, config.vocab_size
     )
-    caches[-1]["top"] = x
-    return logits, new_state, (caches, ids)
+    return logits, new_state, (records, ids)
 
 
 def forward(model: LstmModel, ids, state=None):
@@ -282,30 +278,30 @@ def loss_bits(logits, targets, mask=None):
     return float(nll.sum() / LN2), int(tg.size)
 
 
-def _backward_layer(layer: LayerParams, cache, dhs, grad: LayerParams):
+def _backward_layer(layer: LayerParams, rec: _LayerRecord, dhs, grad: LayerParams):
     """Writes the layer's gradients into ``grad``; returns the input gradient."""
     B, T, H = dhs.shape
-    gates, g, tc = cache["gates"], cache["g"], cache["tc"]
-    cprev = cache["cprev"]
     dz = np.empty((B, T, 4 * H))
     dh = np.zeros((B, H))
     dc = np.zeros((B, H))
     for t in reversed(range(T)):
         dh = dh + dhs[:, t]
-        i = gates[:, t, :H]
-        f = gates[:, t, H : 2 * H]
-        o = gates[:, t, 2 * H :]
-        do = dh * tc[:, t]
-        dc = dc + dh * o * (1.0 - tc[:, t] ** 2)
-        dz[:, t, :H] = dc * g[:, t] * i * (1.0 - i)
-        dz[:, t, H : 2 * H] = dc * cprev[:, t] * f * (1.0 - f)
+        a, tc = rec.acts[:, t], rec.tc[:, t]
+        i, f, o, g = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+        cprev = rec.cs[:, t - 1] if t else rec.c0
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc**2)
+        dz[:, t, :H] = dc * g * i * (1.0 - i)
+        dz[:, t, H : 2 * H] = dc * cprev * f * (1.0 - f)
         dz[:, t, 2 * H : 3 * H] = do * o * (1.0 - o)
-        dz[:, t, 3 * H :] = dc * i * (1.0 - g[:, t] ** 2)
+        dz[:, t, 3 * H :] = dc * i * (1.0 - g**2)
         dh = dz[:, t] @ layer.w_h.T
         dc = dc * f
     dz_flat = dz.reshape(B * T, 4 * H)
-    np.matmul(cache["x"].reshape(B * T, -1).T, dz_flat, out=grad.w_x)
-    np.matmul(cache["hprev"].reshape(B * T, H).T, dz_flat, out=grad.w_h)
+    # h_{t-1} of every step as one matrix, so w_h's gradient is one product
+    hprev = np.concatenate((rec.h0[:, None], rec.hs[:, :-1]), axis=1)
+    np.matmul(rec.x.reshape(B * T, -1).T, dz_flat, out=grad.w_x)
+    np.matmul(hprev.reshape(B * T, H).T, dz_flat, out=grad.w_h)
     np.sum(dz_flat, axis=0, out=grad.bias)
     return (dz_flat @ layer.w_x.T).reshape(B, T, -1)
 
@@ -313,7 +309,7 @@ def _backward_layer(layer: LayerParams, cache, dhs, grad: LayerParams):
 def _step(model: LstmModel, ids, targets, state):
     """Forward + backward over one window; loss is truncated at the
     incoming state (no gradient flows into it)."""
-    logits, new_state, (caches, ids_arr) = _forward(model, ids, state)
+    logits, new_state, (records, ids_arr) = _forward(model, ids, state)
     B, T, V = logits.shape
     flat = logits.reshape(B * T, V)
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
@@ -325,12 +321,12 @@ def _step(model: LstmModel, ids, targets, state):
     dflat /= LN2
     # every view but the embedding is written in full below
     grads = LstmModel(model.config, np.empty_like(model.vector))
-    top = caches[-1]["top"].reshape(B * T, -1)
+    top = records[-1].hs.reshape(B * T, -1)
     np.matmul(top.T, dflat, out=grads.proj)
     np.sum(dflat, axis=0, out=grads.proj_bias)
     d_out = (dflat @ model.proj.T).reshape(B, T, -1)
     for l in reversed(range(len(model.cells))):
-        d_out = _backward_layer(model.cells[l], caches[l], d_out, grads.cells[l])
+        d_out = _backward_layer(model.cells[l], records[l], d_out, grads.cells[l])
     grads.embedding.fill(0.0)
     np.add.at(grads.embedding, ids_arr.reshape(-1), d_out.reshape(B * T, -1))
     return grads, bits, tg.size, new_state

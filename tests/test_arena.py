@@ -14,7 +14,6 @@ from playlab.arena import (
     TypeSyntaxError,
     TypeTree,
     UnknownMoveError,
-    arena_dump,
     arena_order,
     arena_width,
     enabler_of,
@@ -287,14 +286,6 @@ class TestOrderWidth:
 
 
 class TestDump:
-    def test_unit_dump_golden(self, unit_arena):
-        assert arena_dump(unit_arena) == "a@ε Pa q@ε\nq@ε Oq *\n"
-
-    def test_arrow_dump_golden(self, arrow_arena):
-        assert arena_dump(arrow_arena) == (
-            "a@ε Pa q@ε\nq@ε Oq *\na@1 Oa q@1\nq@1 Pq q@ε\n"
-        )
-
     def test_moves_are_canonically_sorted(self):
         arena = make_arena(uniform_tree(2, 2))
         assert list(arena.moves) == sorted(arena.moves)

@@ -353,7 +353,7 @@ class TestExperiment:
         assert trained == [("seq", 1, 1, 40)]
 
     @pytest.mark.parametrize("value, flag", [
-        *((value, flag) for value in ("0", "-1") for flag in COUNT_FLAGS),
+        *((value, flag) for value in ("0", "-1", "x") for flag in COUNT_FLAGS),
         ("1,a", "train --lr-schedule"),
         *((value, "perturb --ratio") for value in ("0", "1.5", "-1", "nan", "abc")),
     ])
@@ -386,15 +386,15 @@ class TestExperiment:
                     for mode in modes]
 
         monkeypatch.setattr(exp, "run_cell", diverging)
-        code = main(["experiment", "perturb", "--seed", "5", "--out-dir", str(tmp_path)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out.count("test/val=") == 7
-        assert (
-            "failed cell conc/2/5/10000: FloatingPointError: non-finite loss at window 0"
-            in captured.err.splitlines()
-        )
-        assert len(exp.parse_report(tmp_path / "report_perturb.csv").cells) == 7
+        failed = "failed cell conc/2/5/10000: FloatingPointError: non-finite loss at window 0"
+        for mode, reports in (("perturb", ["perturb"]), ("both", ["perturb", "cross"])):
+            code = main(["experiment", mode, "--seed", "5", "--out-dir", str(tmp_path)])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out.count("test/val=") == 7 * len(reports)
+            assert captured.err.splitlines().count(failed) == 1
+            for name in reports:
+                assert len(exp.parse_report(tmp_path / f"report_{name}.csv").cells) == 7
 
 
 class TestPlot:

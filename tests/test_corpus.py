@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import playlab.corpus
+import playlab.play
 from playlab.arena import make_arena, parse_type, uniform_tree
 from playlab.corpus import (
     EOP,
@@ -293,3 +295,13 @@ class TestPerturbCorpus:
         for seq in out.plays:
             tokens = [t for t in seq if t != EOP]
             assert justification_assignments(order2_arena, SEQUENTIAL, tokens, limit=1) == []
+
+    def test_require_illegal_rerolls_budget_exceeded(self, order2_arena, monkeypatch):
+        # at budget 1 each of the three attempts on this play stops before a
+        # verdict: undecided, so it is re-rolled, and the play ends in the
+        # usual error rather than SearchBudgetExceeded
+        monkeypatch.setattr(playlab.play, "SEARCH_BUDGET", 1)
+        monkeypatch.setattr(playlab.corpus, "MAX_ATTEMPTS", 3)
+        corpus = generate_corpus(order2_arena, SEQUENTIAL, 1, 50, seed=0)
+        with pytest.raises(ValueError, match="play 0: no illegal perturbation in 3 tries"):
+            perturb_corpus(corpus, 0.1, seed=9, require_illegal=True)
