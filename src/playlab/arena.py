@@ -237,14 +237,10 @@ class Arena:
                 self.enabler_idx[i] = q
                 self.answer_of[q] = i
             elif m.path:
-                self.enabler_idx[i] = self._index[MoveId(m.path[:-1], QUESTION)]
-        children: dict[int, list[int]] = {}
-        for i, m in enumerate(self.moves):
-            if m.kind == QUESTION and m.path:
-                parent = self.enabler_idx[i]
-                children.setdefault(parent, []).append(i)
-        for q, kids in children.items():
-            self.child_questions[q] = tuple(sorted(kids))
+                q = self._index[MoveId(m.path[:-1], QUESTION)]
+                self.enabler_idx[i] = q
+                # i ascends, so each tuple stays sorted
+                self.child_questions[q] += (i,)
         self.initial_idx = self._index[self.initial]
 
     def __len__(self) -> int:

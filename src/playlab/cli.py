@@ -13,8 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpuslib
 from . import experiment as exp
 from . import play as playlib
@@ -28,10 +26,6 @@ class CliError(Exception):
 
 def _default_out_dir() -> str:
     return os.environ.get("PLAYLAB_OUT_DIR", ".")
-
-
-# "both" runs every test mode on one training per cell
-_TEST_MODES = {"perturb": exp.PERTURBED, "cross": exp.CROSS_LANGUAGE}
 
 
 def _positive_int(text: str) -> int:
@@ -98,23 +92,24 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--corpus", required=True)
     train.add_argument("--out", required=True, help="model container path")
     train.add_argument("--seed", type=int, required=True)
-    train.add_argument("--embed-dim", type=_positive_int, default=200)
-    train.add_argument("--hidden-dim", type=_positive_int, default=200)
-    train.add_argument("--layers", type=_positive_int, default=2)
-    train.add_argument("--unroll", type=_positive_int, default=20)
-    train.add_argument("--batch", type=_positive_int, default=20)
-    train.add_argument("--epochs", type=_positive_int, default=13)
-    train.add_argument("--lr-schedule", type=_rates, default=(),
+    defaults = seqmodel.ModelConfig
+    train.add_argument("--embed-dim", type=_positive_int, default=defaults.embed_dim)
+    train.add_argument("--hidden-dim", type=_positive_int, default=defaults.hidden_dim)
+    train.add_argument("--layers", type=_positive_int, default=defaults.layers)
+    train.add_argument("--unroll", type=_positive_int, default=defaults.unroll)
+    train.add_argument("--batch", type=_positive_int, default=defaults.batch)
+    train.add_argument("--epochs", type=_positive_int, default=defaults.epochs)
+    train.add_argument("--lr-schedule", type=_rates, default=defaults.lr_schedule,
                        help="comma-separated per-epoch rates (default: 1.0 x4 then halved)")
-    train.add_argument("--max-grad-norm", type=float, default=5.0)
-    train.add_argument("--init-scale", type=float, default=0.1)
+    train.add_argument("--max-grad-norm", type=float, default=defaults.max_grad_norm)
+    train.add_argument("--init-scale", type=float, default=defaults.init_scale)
 
     ev = sub.add_parser("eval", help="perplexity of a model on a corpus")
     ev.add_argument("--model", required=True)
     ev.add_argument("--corpus", required=True)
 
     run = sub.add_parser("experiment", help="run a full experiment grid")
-    run.add_argument("mode", choices=[*_TEST_MODES, "both"],
+    run.add_argument("mode", choices=[*exp.TEST_MODES, "both"],
                      help="both trains each cell once and tests it on both sets")
     run.add_argument("--grid", choices=["desk", "full"], default="desk")
     run.add_argument("--seed", type=int, required=True)
@@ -212,7 +207,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     model = seqmodel.init_model(config)
-    ids = np.concatenate([vocab.encode(seq) for seq in corpus.plays])
+    ids = vocab.encode(t for seq in corpus.plays for t in seq)
 
     def progress(epoch, log):
         mean_ppl = sum(log) / len(log)
@@ -244,13 +239,12 @@ def _cmd_experiment(args) -> int:
         spec = replace(spec, epochs=args.epochs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    modes = list(_TEST_MODES) if args.mode == "both" else [args.mode]
+    modes = exp.TEST_MODES if args.mode == "both" else (args.mode,)
     reports = exp.run_grid(
-        spec, tuple(_TEST_MODES[mode] for mode in modes), threads=args.threads,
+        spec, modes, threads=args.threads,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
-    for mode in modes:
-        report = reports[_TEST_MODES[mode]]
+    for mode, report in reports.items():
         csv_path = exp.emit_report(report, out_dir / f"report_{mode}.csv")
         print(f"report: {csv_path}")
         if report.cells:
@@ -264,7 +258,7 @@ def _cmd_experiment(args) -> int:
                 f"test/val={cell.test_over_validation:.2f})"
             )
     # a failed cell is recorded in every mode's report; name it once
-    failures = reports[_TEST_MODES[modes[0]]].failures
+    failures = reports[modes[0]].failures
     for label, message in failures:
         print(f"failed cell {label}: {message}", file=sys.stderr)
     return 1 if failures else 0

@@ -26,8 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .arena import make_arena, uniform_tree
 from .corpus import Corpus, Vocab, build_vocab, generate_corpus, perturb_corpus
 from .fileio import write_atomic
@@ -35,8 +33,8 @@ from .play import CONCURRENT, SEQUENTIAL
 from .rng import derive_seed
 from .seqmodel import LstmModel, ModelConfig, init_model, perplexity, train_model
 
-PERTURBED = "perturbed"
-CROSS_LANGUAGE = "cross-language"
+PERTURBED = "perturb"
+CROSS_LANGUAGE = "cross"
 TEST_MODES = (PERTURBED, CROSS_LANGUAGE)
 
 CSV_HEADER = ["lang", "order", "width", "train_size", "set", "perplexity"]
@@ -127,10 +125,6 @@ class Report:
     failures: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _concat_ids(vocab: Vocab, corpus: Corpus) -> np.ndarray:
-    return np.concatenate([vocab.encode(seq) for seq in corpus.plays])
-
-
 def train_cell_model(
     spec: ExperimentSpec, lang: str, order: int, width: int, size: int
 ) -> tuple[LstmModel, Vocab, Corpus]:
@@ -143,7 +137,7 @@ def train_cell_model(
     )
     config = spec.model_config(len(vocab), derive_seed(spec.seed, "model", *cell))
     model = init_model(config)
-    train_model(model, _concat_ids(vocab, train))
+    train_model(model, vocab.encode(t for seq in train.plays for t in seq))
     return model, vocab, train
 
 

@@ -15,10 +15,11 @@ evaluating a play from a cold state.
 Parameter layout: every parameter lives in one contiguous float64
 ``LstmModel.vector``.  The named arrays (``embedding``, each
 ``cells[l].w_x``, ``w_h``, ``bias``, then ``proj`` and ``proj_bias``) are
-reshaped views into it, in ``params()`` order, with no gap.  Gradients
-mirror it: ``backward`` returns an ``LstmModel`` over a gradient vector,
-so clip scaling, the SGD step and the finite check are each one
-vector operation.  The container payload is the vector's bytes.
+reshaped views into it, with no gap, in the order of the one name/shape
+table ``_layout``.  Gradients mirror it: ``backward`` returns an
+``LstmModel`` over a gradient vector, so clip scaling, the SGD step and
+the finite check are each one vector operation.  The container payload
+is the vector's bytes.
 """
 
 from __future__ import annotations
@@ -100,31 +101,28 @@ class LstmModel:
     """Parameters (or gradients) as named views into one float64 ``vector``."""
 
     def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
-        size = _param_size(config)
+        layout = _layout(config)
+        size = sum(math.prod(shape) for _, shape in layout)
         vector = np.zeros(size) if vector is None else vector
         if vector.shape != (size,) or vector.dtype != np.float64 or not vector.flags.c_contiguous:
             raise ValueError(f"expected a contiguous float64 vector of {size} parameters")
         self.config, self.vector = config, vector
-        views, offset = [], 0
-        for shape in _param_shapes(config):
+        self._params, offset = [], 0
+        for name, shape in layout:
             n = math.prod(shape)
-            views.append(vector[offset : offset + n].reshape(shape))
+            self._params.append((name, vector[offset : offset + n].reshape(shape)))
             offset += n
-        it = iter(views)
-        self.embedding = next(it)  # (V, D)
-        self.cells = [LayerParams(next(it), next(it), next(it)) for _ in range(config.layers)]
-        self.proj, self.proj_bias = it  # (H, V), (V,)
+        p = dict(self._params)
+        self.embedding = p["embedding"]  # (V, D)
+        self.cells = [
+            LayerParams(p[f"cell{l}.w_x"], p[f"cell{l}.w_h"], p[f"cell{l}.bias"])
+            for l in range(config.layers)
+        ]
+        self.proj, self.proj_bias = p["proj"], p["proj_bias"]  # (H, V), (V,)
 
     def params(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) pairs in vector order."""
-        out = [("embedding", self.embedding)]
-        for l, cell in enumerate(self.cells):
-            out.append((f"cell{l}.w_x", cell.w_x))
-            out.append((f"cell{l}.w_h", cell.w_h))
-            out.append((f"cell{l}.bias", cell.bias))
-        out.append(("proj", self.proj))
-        out.append(("proj_bias", self.proj_bias))
-        return out
+        return list(self._params)
 
     def param_count(self) -> int:
         return self.vector.size
@@ -133,19 +131,19 @@ class LstmModel:
         return LstmModel(self.config, self.vector.copy())
 
 
-def _param_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
+def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Each parameter's (name, shape), in vector order."""
     V, D, H = config.vocab_size, config.embed_dim, config.hidden_dim
-    shapes = [(V, D)]
+    layout = [("embedding", (V, D))]
     in_dim = D
-    for _ in range(config.layers):
-        shapes += [(in_dim, 4 * H), (H, 4 * H), (4 * H,)]
+    for l in range(config.layers):
+        layout += [
+            (f"cell{l}.w_x", (in_dim, 4 * H)),
+            (f"cell{l}.w_h", (H, 4 * H)),
+            (f"cell{l}.bias", (4 * H,)),
+        ]
         in_dim = H
-    shapes += [(H, V), (V,)]
-    return shapes
-
-
-def _param_size(config: ModelConfig) -> int:
-    return sum(math.prod(shape) for shape in _param_shapes(config))
+    return layout + [("proj", (H, V)), ("proj_bias", (V,))]
 
 
 def init_model(config: ModelConfig) -> LstmModel:
@@ -167,12 +165,9 @@ def init_model(config: ModelConfig) -> LstmModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) below, and never overflows
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _gates(z, c):
@@ -480,7 +475,7 @@ def load_model(path) -> LstmModel:
         config = ModelConfig.from_json(body[16:offset].decode("utf-8"))
     except (ValueError, TypeError) as e:
         raise ModelFormatError(f"bad config block: {e}") from None
-    n = _param_size(config)
+    n = sum(math.prod(shape) for _, shape in _layout(config))
     if offset + 8 * n > len(body):
         raise ModelFormatError("parameter block shorter than config implies")
     if offset + 8 * n != len(body):

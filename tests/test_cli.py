@@ -8,9 +8,11 @@ import pytest
 
 import playlab
 import playlab.experiment as exp
+from playlab.arena import make_arena, parse_type
 from playlab.cli import main
-from playlab.corpus import read_corpus
+from playlab.corpus import build_vocab, read_corpus
 from playlab.play import format_pointed
+from playlab.seqmodel import ModelConfig, load_model
 
 from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY
 
@@ -241,6 +243,29 @@ class TestTrainEval:
         ])
         assert code == 0
 
+    def test_defaults_come_from_model_config(self, tmp_path, capsys):
+        corpus_path = gen_corpus(tmp_path, count=200, max_len=8)
+        model_path = tmp_path / "m.model"
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(model_path),
+                     "--seed", "6", "--epochs", "1"]) == 0
+        vocab = build_vocab(make_arena(parse_type("unit")))
+        assert load_model(model_path).config == ModelConfig(
+            vocab_size=len(vocab), epochs=1, seed=6
+        )
+
+    def test_corpus_without_plays_is_domain_error(self, tmp_path, capsys):
+        corpus_path = tmp_path / "empty.plays"
+        corpus_path.write_text(
+            "#version 1\n#arena unit\n#language seq\n#seed 1\n#count 0\n", encoding="utf-8"
+        )
+        code = main(["train", "--corpus", str(corpus_path),
+                     "--out", str(tmp_path / "m.model"), "--seed", "6"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: corpus too small: need at least 420 tokens, got 0\n"
+        )
+        assert not (tmp_path / "m.model").exists()
+
     @pytest.mark.parametrize("diverge", DIVERGING)
     def test_diverging_train_is_domain_error(self, tmp_path, capsys, diverge):
         corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
@@ -429,7 +454,7 @@ class TestUsage:
     def test_console_script(self):
         result = subprocess.run(
             [sys.executable, "-c", "from playlab.cli import main; raise SystemExit(main(['--help']))"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert result.returncode == 0
         assert "playlab" in result.stdout

@@ -161,7 +161,7 @@ class TestGrid:
         assert reports[CROSS_LANGUAGE].cells == run_cross_language_experiment(TINY).cells
         assert any(
             re.fullmatch(r"cell seq/1/1/40: train=\S+ validation=\S+ "
-                         r"perturbed=\S+ cross-language=\S+", m)
+                         r"perturb=\S+ cross=\S+", m)
             for m in messages
         )
 
