@@ -167,7 +167,8 @@ def init_model(config: ModelConfig) -> LstmModel:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) is exp(-z) where z >= 0 and exp(z) below, and never overflows
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
 
 
 def _gates(z, c):
@@ -207,21 +208,30 @@ class _LayerRecord:
     tc: np.ndarray  # (B, T, H) tanh of the cell states
 
 
-def _forward_layer(layer: LayerParams, x, h0, c0):
+def _forward_layer(layer: LayerParams, x, h0, c0, keep: bool):
+    """The layer's hidden states (the next layer's input), its backward
+    record if ``keep`` (else None), and its last (h, c)."""
     B, T, _ = x.shape
     H = layer.w_h.shape[0]
     xw = (x.reshape(B * T, -1) @ layer.w_x).reshape(B, T, 4 * H)
-    rec = _LayerRecord(x, h0, c0, *(np.empty((B, T, n)) for n in (H, H, 4 * H, H)))
+    hs = np.empty((B, T, H))
+    rec = None
+    if keep:
+        rec = _LayerRecord(x, h0, c0, hs, *(np.empty((B, T, n)) for n in (H, 4 * H, H)))
     h, c = h0, c0
     for t in range(T):
         s, g, c, tc, h = _gates(xw[:, t] + h @ layer.w_h + layer.bias, c)
-        rec.acts[:, t, : 3 * H] = s
-        rec.acts[:, t, 3 * H :] = g
-        rec.hs[:, t], rec.cs[:, t], rec.tc[:, t] = h, c, tc
-    return rec, (h, c)
+        hs[:, t] = h
+        if keep:
+            rec.acts[:, t, : 3 * H] = s
+            rec.acts[:, t, 3 * H :] = g
+            rec.cs[:, t], rec.tc[:, t] = c, tc
+    return hs, rec, (h, c)
 
 
-def _forward(model: LstmModel, ids, state):
+def _forward(model: LstmModel, ids, state, keep: bool):
+    """Logits, the carried state, and (per-layer records, ids); the records
+    are None unless ``keep``, which only a window that runs backward needs."""
     config = model.config
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -235,10 +245,9 @@ def _forward(model: LstmModel, ids, state):
     records = []
     new_state = []
     for layer, (h0, c0) in zip(model.cells, state):
-        rec, hc = _forward_layer(layer, x, h0, c0)
+        x, rec, hc = _forward_layer(layer, x, h0, c0, keep)
         records.append(rec)
         new_state.append(hc)
-        x = rec.hs
     logits = (x.reshape(B * T, -1) @ model.proj + model.proj_bias).reshape(
         B, T, config.vocab_size
     )
@@ -249,9 +258,10 @@ def forward(model: LstmModel, ids, state=None):
     """Logits for each position plus the carried (h, c) per layer.
 
     ``state=None`` starts from zeros; passing the returned state makes
-    consecutive windows behave like one long unrolled sequence.
+    consecutive windows behave like one long unrolled sequence.  Only each
+    layer's hidden states are kept, not what backward would need.
     """
-    logits, new_state, _ = _forward(model, ids, state)
+    logits, new_state, _ = _forward(model, ids, state, keep=False)
     return logits, new_state
 
 
@@ -304,7 +314,7 @@ def _backward_layer(layer: LayerParams, rec: _LayerRecord, dhs, grad: LayerParam
 def _step(model: LstmModel, ids, targets, state):
     """Forward + backward over one window; loss is truncated at the
     incoming state (no gradient flows into it)."""
-    logits, new_state, (records, ids_arr) = _forward(model, ids, state)
+    logits, new_state, (records, ids_arr) = _forward(model, ids, state, keep=True)
     B, T, V = logits.shape
     flat = logits.reshape(B * T, V)
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
@@ -416,8 +426,12 @@ def perplexity(model: LstmModel, sequences, eval_batch: int = 64) -> Evaluation:
     Inputs are the sequence shifted right behind the boundary token (id 0),
     targets the sequence itself, so the end-of-play token is predicted too.
     Sequences are evaluated in canonical sorted order with padding masked
-    out, which makes the result independent of corpus line order.
+    out, which makes the result independent of corpus line order.  Each
+    batch of ``eval_batch`` sequences pads to its longest one, so a large
+    ``eval_batch`` also computes the masked positions.
     """
+    if eval_batch < 1:
+        raise ValueError(f"eval_batch must be >= 1, got {eval_batch}")
     seqs = [np.asarray(s, dtype=np.int64).reshape(-1) for s in sequences]
     if not seqs:
         raise ValueError("empty corpus")

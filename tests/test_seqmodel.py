@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from playlab.seqmodel import (
     train_model,
     zero_state,
 )
+from playlab.seqmodel import _forward
 
 from oracles import scalar_lstm_step
 
@@ -144,6 +146,27 @@ class TestPinnedBits:
         train_model(model, substream(5, "corpus").integers(0, 5, 200))
         assert digest(model) == self.TRAINED
 
+    # repr of perplexity(...).total_bits, recorded before eval stopped
+    # building backward records; the init model's two batch sizes differ in
+    # the last bit, so a change of grouping or summation order shows
+    EVAL_BITS = {
+        ("init", 64): "469.02927465792766",
+        ("init", 3): "469.0292746579278",
+        ("trained", 64): "667.2239750939154",
+        ("trained", 3): "667.2239750939154",
+    }
+
+    def test_eval_bits(self):
+        rng = substream(9, "eval")
+        seqs = [rng.integers(0, 5, rng.integers(1, 12)) for _ in range(40)]
+        model = init_model(tiny_config())
+        for state in ("init", "trained"):
+            if state == "trained":
+                train_model(model, substream(5, "corpus").integers(0, 5, 200))
+            for batch in (64, 3):
+                bits = perplexity(model, seqs, eval_batch=batch).total_bits
+                assert repr(bits) == self.EVAL_BITS[state, batch], (state, batch)
+
 
 class TestInit:
     def test_deterministic(self):
@@ -238,6 +261,37 @@ class TestForward:
         row = substream(2, "ids").integers(0, 5, 6)
         logits, _ = forward(model, np.stack([row, row]))
         assert np.array_equal(logits[0], logits[1])
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_matches_record_keeping_path(self, carried):
+        model = init_model(tiny_config())
+        rng = substream(10, "ids")
+        state = None
+        if carried:
+            _, state = forward(model, rng.integers(0, 5, (3, 4)))
+        ids = rng.integers(0, 5, (3, 6))
+        logits, new_state = forward(model, ids, state)
+        kept_logits, kept_state, (records, _) = _forward(model, ids, state, keep=True)
+        assert np.array_equal(logits, kept_logits)
+        for (h, c), (kh, kc) in zip(new_state, kept_state):
+            assert np.array_equal(h, kh) and np.array_equal(c, kc)
+        assert all(rec is not None for rec in records)
+
+    def test_keeps_no_backward_records(self):
+        # B 64, T 40, H 64, 2 layers: each layer's record holds its input
+        # plus 7H floats per position (hs, cs, tc and the 4H activations)
+        B, T, H = 64, 40, 64
+        config = ModelConfig(vocab_size=5, embed_dim=H, hidden_dim=H, seed=3)
+        model = init_model(config)
+        seqs = list(substream(11, "eval").integers(0, 5, (B, T)))
+        record_bytes = config.layers * B * T * (H + 7 * H) * 8
+        tracemalloc.start()
+        try:
+            perplexity(model, seqs, eval_batch=B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < record_bytes / 2
 
     def test_rejects_bad_ids(self):
         model = init_model(tiny_config())
@@ -409,6 +463,12 @@ class TestPerplexity:
             perplexity(model, [])
         with pytest.raises(ValueError):
             perplexity(model, [np.array([], dtype=np.int64)])
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_rejects_batch_below_one(self, batch):
+        model = init_model(tiny_config())
+        with pytest.raises(ValueError, match=f"eval_batch must be >= 1, got {batch}"):
+            perplexity(model, [np.array([1, 0])], eval_batch=batch)
 
     def test_evaluation_value(self):
         assert Evaluation(4, 8.0).perplexity == 4.0
