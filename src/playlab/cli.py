@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--arena", required=True, help='type expression, e.g. "unit -> unit"')
     gen.add_argument("--lang", required=True, choices=playlib.LANGUAGES)
     gen.add_argument("--count", type=_positive_int, required=True)
-    gen.add_argument("--max-len", type=_positive_int, default=50)
+    gen.add_argument("--max-len", type=_positive_int, default=corpuslib.MAX_LEN)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--complete-only", action="store_true",
                      help="re-roll plays until no questions are left pending")

@@ -21,6 +21,7 @@ from .rng import substream
 
 EOP = "$"
 
+MAX_LEN = 50  # longest play the experiments and ``gen`` draw by default
 P_STOP = 0.05  # chance of stopping at each nonempty prefix with no pending question
 MAX_ATTEMPTS = 500  # re-rolls per play before perturb_corpus gives up on illegality
 

@@ -25,11 +25,12 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from .arena import make_arena, uniform_tree
-from .corpus import Corpus, Vocab, build_vocab, generate_corpus, perturb_corpus
+from .corpus import MAX_LEN, Corpus, Vocab, build_vocab, generate_corpus, perturb_corpus
 from .fileio import write_atomic
-from .play import CONCURRENT, SEQUENTIAL
+from .play import CONCURRENT, LANGUAGES, SEQUENTIAL
 from .rng import derive_seed
 from .seqmodel import LstmModel, ModelConfig, init_model, perplexity, train_model
 
@@ -48,21 +49,20 @@ PERTURB_RATIO = 0.1  # share of each test play's tokens that perturbation edits
 class ExperimentSpec:
     """Grid and budget for one experiment run.
 
-    The default is the desk-scale grid (orders 1-2, hidden 128, 10k
-    training plays, 4 epochs); ``full()`` restores the large grid with
-    orders 1-3, training sizes 10k and 100k, hidden 200 and 13 epochs.
+    The grid always spans both languages and arena widths 1 and 5.  Every
+    cell trains ``ModelConfig``'s LSTM shape at ``hidden_dim``, on plays of
+    at most ``MAX_LEN`` moves.  The default is the desk-scale grid (orders
+    1-2, hidden 128, 10k training plays, 4 epochs); ``full()`` restores the
+    large grid with orders 1-3, training sizes 10k and 100k, hidden 200 and
+    13 epochs.
     """
 
-    languages: tuple[str, ...] = (SEQUENTIAL, CONCURRENT)
+    languages: ClassVar[tuple[str, ...]] = LANGUAGES
+    widths: ClassVar[tuple[int, ...]] = (1, 5)
     orders: tuple[int, ...] = (1, 2)
-    widths: tuple[int, ...] = (1, 5)
     train_sizes: tuple[int, ...] = (10_000,)
     eval_size: int = 10_000
-    max_len: int = 50
     hidden_dim: int = 128
-    layers: int = 2
-    unroll: int = 20
-    batch: int = 20
     epochs: int = 4
     seed: int = 0
 
@@ -81,16 +81,8 @@ class ExperimentSpec:
         )
 
     def model_config(self, vocab_size: int, seed: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            embed_dim=self.hidden_dim,
-            hidden_dim=self.hidden_dim,
-            layers=self.layers,
-            unroll=self.unroll,
-            batch=self.batch,
-            epochs=self.epochs,
-            seed=seed,
-        )
+        return ModelConfig(vocab_size=vocab_size, embed_dim=self.hidden_dim,
+                           hidden_dim=self.hidden_dim, epochs=self.epochs, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -132,9 +124,7 @@ def train_cell_model(
     arena = make_arena(uniform_tree(order, width))
     vocab = build_vocab(arena)
     cell = (lang, order, width, size)
-    train = generate_corpus(
-        arena, lang, size, spec.max_len, derive_seed(spec.seed, "train", *cell)
-    )
+    train = generate_corpus(arena, lang, size, MAX_LEN, derive_seed(spec.seed, "train", *cell))
     config = spec.model_config(len(vocab), derive_seed(spec.seed, "model", *cell))
     model = init_model(config)
     train_model(model, vocab.encode(t for seq in train.plays for t in seq))
@@ -146,9 +136,9 @@ def _eval_ppl(model: LstmModel, vocab: Vocab, plays) -> float:
 
 
 def _check_modes(modes: tuple[str, ...]) -> None:
-    for mode in modes:
-        if mode not in TEST_MODES:
-            raise ValueError(f"unknown test mode {mode!r}")
+    for i, mode in enumerate(modes):
+        if mode not in TEST_MODES or mode in modes[:i]:
+            raise ValueError(f"unknown or repeated test mode {mode!r}")
 
 
 def run_cell(
@@ -166,8 +156,7 @@ def run_cell(
     cell = (lang, order, width, size)
     model, vocab, train = train_cell_model(spec, *cell)
     validation = generate_corpus(
-        arena, lang, spec.eval_size, spec.max_len,
-        derive_seed(spec.seed, "validation", *cell),
+        arena, lang, spec.eval_size, MAX_LEN, derive_seed(spec.seed, "validation", *cell)
     )
     train_ppl = _eval_ppl(model, vocab, train.plays)
     validation_ppl = _eval_ppl(model, vocab, validation.plays)
@@ -176,7 +165,7 @@ def run_cell(
     for mode in modes:
         test = generate_corpus(
             arena, other if mode == CROSS_LANGUAGE else lang, spec.eval_size,
-            spec.max_len, derive_seed(spec.seed, "test", *cell),
+            MAX_LEN, derive_seed(spec.seed, "test", *cell),
         )
         if mode == PERTURBED:
             test = perturb_corpus(test, PERTURB_RATIO, derive_seed(spec.seed, "perturb", *cell))

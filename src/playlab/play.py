@@ -421,28 +421,31 @@ def justification_assignments(
     returned play is legal by construction.  Raises SearchBudgetExceeded
     once it has explored more than ``SEARCH_BUDGET`` extensions.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     want = [arena.index(parse_token(t)) for t in tokens]
     results: list[PointedPlay] = []
     spent = 0
     state = _PlayState(arena, lang)
-
-    def dfs(k: int) -> bool:
-        nonlocal spent
+    untried = []  # untried[k]: legal (move, justifier) choices for token k not yet tried
+    while True:  # the state holds one move per entry of untried
+        k = len(untried)
         if k == len(want):
             results.append(state.to_play())
-            return len(results) >= limit
-        for mi, j in state.extensions():
-            if mi != want[k]:
-                continue
-            spent += 1
-            if spent > SEARCH_BUDGET:
-                raise SearchBudgetExceeded(f"more than {SEARCH_BUDGET} extensions explored")
-            state.push(mi, j)
-            done = dfs(k + 1)
-            state.pop()
-            if done:
-                return True
-        return False
-
-    dfs(0)
-    return results
+            if len(results) >= limit:
+                return results
+        else:
+            untried.append(iter([e for e in state.extensions() if e[0] == want[k]]))
+        while untried:  # backtrack to the deepest token with a choice left
+            if len(state) == len(untried):
+                state.pop()
+            choice = next(untried[-1], None)
+            if choice is not None:
+                break
+            untried.pop()
+        else:
+            return results
+        spent += 1
+        if spent > SEARCH_BUDGET:
+            raise SearchBudgetExceeded(f"more than {SEARCH_BUDGET} extensions explored")
+        state.push(*choice)

@@ -278,7 +278,7 @@ def loss_bits(logits, targets, mask=None):
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
     nll = _log_sum_exp(flat) - flat[np.arange(flat.shape[0]), tg]
     if mask is not None:
-        w = np.asarray(mask).reshape(-1)
+        w = np.asarray(mask, dtype=bool).reshape(-1)
         return float(nll[w].sum() / LN2), int(w.sum())
     return float(nll.sum() / LN2), int(tg.size)
 

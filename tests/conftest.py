@@ -5,6 +5,7 @@ import pytest
 
 import playlab.fileio
 from playlab.arena import make_arena, parse_type
+from playlab.experiment import ExperimentSpec
 
 from oracles import play_of
 
@@ -28,6 +29,12 @@ PAR_COMPOSITION_PLAY = play_of(
     ("a@1", 1),
     ("a@2", 2),
     ("a@ε", 0),
+)
+
+# The smallest grid that trains: both languages and widths 1 and 5 at order
+# 1, with enough plays for one batch 20 x (unroll 20 + 1) training window.
+TINY_SPEC = ExperimentSpec(
+    orders=(1,), train_sizes=(100,), eval_size=20, hidden_dim=8, epochs=1, seed=3
 )
 
 

@@ -10,11 +10,11 @@ import playlab
 import playlab.experiment as exp
 from playlab.arena import make_arena, parse_type
 from playlab.cli import main
-from playlab.corpus import build_vocab, read_corpus
+from playlab.corpus import MAX_LEN, build_vocab, read_corpus
 from playlab.play import format_pointed
 from playlab.seqmodel import ModelConfig, load_model
 
-from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY
+from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY, TINY_SPEC
 
 TWO_ARG = "unit -> unit -> unit"
 
@@ -48,6 +48,19 @@ class TestGen:
         out = capsys.readouterr().out
         assert out.startswith("#version 1\n#arena unit\n#language seq\n#seed 1\n#count 3\n")
         assert len(out.splitlines()) == 8
+
+    def test_max_len_default(self, monkeypatch, capsys):
+        seen = []
+        real = playlab.corpus.generate_corpus
+
+        def recording(arena, lang, count, max_len, seed, **kwargs):
+            seen.append(max_len)
+            return real(arena, lang, count, max_len, seed, **kwargs)
+
+        monkeypatch.setattr(playlab.corpus, "generate_corpus", recording)
+        assert main(["gen", "--arena", "unit", "--lang", "seq",
+                     "--count", "1", "--seed", "0"]) == 0
+        assert seen == [MAX_LEN]
 
     def test_file_deterministic(self, tmp_path):
         a = gen_corpus(tmp_path, "a.plays", seed=9)
@@ -296,21 +309,6 @@ class TestTrainEval:
         assert re.fullmatch(one_line, result.stderr), result.stderr
 
 
-TINY_SPEC = exp.ExperimentSpec(
-    languages=("seq",),
-    orders=(1,),
-    widths=(1,),
-    train_sizes=(40,),
-    eval_size=10,
-    max_len=10,
-    hidden_dim=8,
-    layers=1,
-    unroll=4,
-    batch=4,
-    epochs=1,
-)
-
-
 # a bare flag belongs to `experiment`; the others name their command
 COUNT_FLAGS = [
     "--epochs", "--threads", "gen --count", "gen --max-len",
@@ -335,16 +333,16 @@ class TestExperiment:
         assert code == 0
         captured = capsys.readouterr()
         assert (tmp_path / "report_perturb.csv").exists()
-        assert (tmp_path / "perturb" / "ppl_seq_40.svg").exists()
+        assert (tmp_path / "perturb" / "ppl_seq_100.svg").exists()
         assert "report:" in captured.out and "figure:" in captured.out
-        assert "cell seq/1/1/40" in captured.err
+        assert "cell seq/1/1/100" in captured.err
 
     def test_cross_mode_with_epoch_override(self, tmp_path, capsys, tiny_desk):
         code = main(["experiment", "cross", "--seed", "5", "--epochs", "1",
                      "--out-dir", str(tmp_path)])
         assert code == 0
         report = exp.parse_report(tmp_path / "report_cross.csv")
-        assert len(report.cells) == 1
+        assert len(report.cells) == 4
 
     def test_out_dir_env_default(self, tmp_path, capsys, tiny_desk, monkeypatch):
         monkeypatch.setenv("PLAYLAB_OUT_DIR", str(tmp_path / "envdir"))
@@ -361,9 +359,9 @@ class TestExperiment:
             assert (tmp_path / "both" / csv_name).read_bytes() == (
                 tmp_path / mode / csv_name
             ).read_bytes()
-            assert (tmp_path / "both" / mode / "ppl_seq_40.svg").exists()
-            assert f"{mode} seq/order1/width1/n40: train=" in out
-        assert out.count("val/train=") == 2 and out.count("test/val=") == 2
+            assert (tmp_path / "both" / mode / "ppl_seq_100.svg").exists()
+            assert f"{mode} seq/order1/width1/n100: train=" in out
+        assert out.count("val/train=") == 8 and out.count("test/val=") == 8
 
     def test_both_trains_each_cell_once(self, tmp_path, capsys, tiny_desk, monkeypatch):
         trained = []
@@ -375,7 +373,7 @@ class TestExperiment:
 
         monkeypatch.setattr(exp, "train_cell_model", counting)
         assert main(["experiment", "both", "--seed", "5", "--out-dir", str(tmp_path)]) == 0
-        assert trained == [("seq", 1, 1, 40)]
+        assert trained == [(lang, 1, width, 100) for lang in ("seq", "conc") for width in (1, 5)]
 
     @pytest.mark.parametrize("value, flag", [
         *((value, flag) for value in ("0", "-1", "x") for flag in COUNT_FLAGS),

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -21,22 +22,12 @@ from playlab.experiment import (
     run_perturbation_experiment,
     train_cell_model,
 )
-from playlab.play import CONCURRENT, SEQUENTIAL
+from playlab.play import CONCURRENT, LANGUAGES, SEQUENTIAL
+from playlab.seqmodel import ModelConfig
 
-TINY = ExperimentSpec(
-    languages=(SEQUENTIAL,),
-    orders=(1,),
-    widths=(1,),
-    train_sizes=(40,),
-    eval_size=20,
-    max_len=10,
-    hidden_dim=8,
-    layers=1,
-    unroll=4,
-    batch=4,
-    epochs=1,
-    seed=3,
-)
+from conftest import TINY_SPEC
+
+TINY_CELLS = ["seq/1/1/100", "seq/1/5/100", "conc/1/1/100", "conc/1/5/100"]
 
 
 def sample_report():
@@ -64,11 +55,24 @@ class TestSpec:
         assert spec.hidden_dim == 200 and spec.epochs == 13
         assert spec.seed == 9
 
+    def test_fixed_grid_axes(self):
+        assert ExperimentSpec.languages == LANGUAGES
+        assert ExperimentSpec.widths == (1, 5)
+        assert [f.name for f in dataclasses.fields(ExperimentSpec)] == [
+            "orders", "train_sizes", "eval_size", "hidden_dim", "epochs", "seed"
+        ]
+        for setting in ({"layers": 1}, {"languages": (SEQUENTIAL,)}, {"widths": (1,)},
+                        {"max_len": 10}, {"unroll": 4}, {"batch": 4}):
+            with pytest.raises(TypeError):
+                ExperimentSpec(**setting)
+
     def test_model_config_wiring(self):
-        config = TINY.model_config(7, seed=12)
-        assert config.vocab_size == 7
-        assert config.embed_dim == config.hidden_dim == 8
-        assert config.seed == 12
+        # the paper's LSTM shape: 2 layers, unroll 20, batch 20, embedding = hidden
+        for spec in (ExperimentSpec.desk(), ExperimentSpec.full(), TINY_SPEC):
+            assert spec.model_config(7, seed=12) == ModelConfig(
+                vocab_size=7, embed_dim=spec.hidden_dim, hidden_dim=spec.hidden_dim,
+                layers=2, unroll=20, batch=20, epochs=spec.epochs, seed=12,
+            )
 
     def test_embed_dim_defaults_to_hidden(self):
         spec = ExperimentSpec(hidden_dim=64)
@@ -86,18 +90,18 @@ class TestReportCell:
 
 class TestRunCell:
     def test_train_cell_model(self):
-        model, vocab, train = train_cell_model(TINY, SEQUENTIAL, 1, 1, 40)
+        model, vocab, train = train_cell_model(TINY_SPEC, SEQUENTIAL, 1, 1, 100)
         assert model.config.vocab_size == len(vocab) == 5
-        assert len(train.plays) == 40
+        assert len(train.plays) == 100
 
     def test_perturbed_cell(self):
-        [cell] = run_cell(TINY, (PERTURBED,), SEQUENTIAL, 1, 1, 40)
+        [cell] = run_cell(TINY_SPEC, (PERTURBED,), SEQUENTIAL, 1, 1, 100)
         assert cell.test_kind == PERTURBED
-        assert cell.lang == SEQUENTIAL and cell.train_size == 40
+        assert cell.lang == SEQUENTIAL and cell.train_size == 100
         assert all(v >= 1.0 for v in cell.values())
 
     def test_cross_language_cell(self):
-        [cell] = run_cell(TINY, (CROSS_LANGUAGE,), SEQUENTIAL, 1, 1, 40)
+        [cell] = run_cell(TINY_SPEC, (CROSS_LANGUAGE,), SEQUENTIAL, 1, 1, 100)
         assert cell.test_kind == CROSS_LANGUAGE
 
     def test_unknown_mode(self, monkeypatch):
@@ -105,15 +109,15 @@ class TestRunCell:
             raise AssertionError("trained before checking the modes")
 
         monkeypatch.setattr(experiment, "train_cell_model", no_training)
-        for modes in [("shuffle",), (PERTURBED, "shuffle")]:
+        for modes in [("shuffle",), (PERTURBED, "shuffle"), (PERTURBED, PERTURBED)]:
             with pytest.raises(ValueError, match="mode"):
-                run_cell(TINY, modes, SEQUENTIAL, 1, 1, 40)
+                run_cell(TINY_SPEC, modes, SEQUENTIAL, 1, 1, 100)
             with pytest.raises(ValueError, match="mode"):
-                run_grid(TINY, modes)
+                run_grid(TINY_SPEC, modes)
 
     def test_deterministic(self):
-        a = run_cell(TINY, (PERTURBED,), SEQUENTIAL, 1, 1, 40)
-        b = run_cell(TINY, (PERTURBED,), SEQUENTIAL, 1, 1, 40)
+        a = run_cell(TINY_SPEC, (PERTURBED,), SEQUENTIAL, 1, 1, 100)
+        b = run_cell(TINY_SPEC, (PERTURBED,), SEQUENTIAL, 1, 1, 100)
         assert a == b
 
     def test_multi_mode_trains_once(self, monkeypatch):
@@ -125,10 +129,10 @@ class TestRunCell:
             return real(*args)
 
         monkeypatch.setattr(experiment, "train_cell_model", counting)
-        both = run_cell(TINY, (CROSS_LANGUAGE, PERTURBED), SEQUENTIAL, 1, 1, 40)
+        both = run_cell(TINY_SPEC, (CROSS_LANGUAGE, PERTURBED), SEQUENTIAL, 1, 1, 100)
         assert len(calls) == 1
         singles = [
-            run_cell(TINY, (mode,), SEQUENTIAL, 1, 1, 40)[0]
+            run_cell(TINY_SPEC, (mode,), SEQUENTIAL, 1, 1, 100)[0]
             for mode in (CROSS_LANGUAGE, PERTURBED)
         ]
         assert both == singles
@@ -136,31 +140,27 @@ class TestRunCell:
 
 class TestGrid:
     def test_perturbation_grid_shape(self):
-        spec = ExperimentSpec(
-            languages=(SEQUENTIAL, CONCURRENT), orders=(1,), widths=(1,),
-            train_sizes=(40,), eval_size=10, max_len=10,
-            hidden_dim=8, layers=1, unroll=4, batch=4, epochs=1, seed=5,
-        )
         messages = []
-        report = run_perturbation_experiment(spec, progress=messages.append)
-        assert [c.lang for c in report.cells] == [SEQUENTIAL, CONCURRENT]
+        report = run_perturbation_experiment(TINY_SPEC, progress=messages.append)
+        assert ["/".join(map(str, (c.lang, c.order, c.width, c.train_size)))
+                for c in report.cells] == TINY_CELLS
         assert report.failures == []
         assert any("start" in m for m in messages)
 
     def test_cross_language_grid(self):
-        report = run_cross_language_experiment(TINY)
-        assert len(report.cells) == 1
-        assert report.cells[0].test_kind == CROSS_LANGUAGE
+        report = run_cross_language_experiment(TINY_SPEC)
+        assert len(report.cells) == 4
+        assert all(c.test_kind == CROSS_LANGUAGE for c in report.cells)
 
     def test_grid_of_both_modes_matches_single_mode_runs(self):
         messages = []
-        reports = run_grid(TINY, (PERTURBED, CROSS_LANGUAGE), threads=2,
+        reports = run_grid(TINY_SPEC, (PERTURBED, CROSS_LANGUAGE), threads=2,
                            progress=messages.append)
         assert list(reports) == [PERTURBED, CROSS_LANGUAGE]
-        assert reports[PERTURBED].cells == run_perturbation_experiment(TINY).cells
-        assert reports[CROSS_LANGUAGE].cells == run_cross_language_experiment(TINY).cells
+        assert reports[PERTURBED].cells == run_perturbation_experiment(TINY_SPEC).cells
+        assert reports[CROSS_LANGUAGE].cells == run_cross_language_experiment(TINY_SPEC).cells
         assert any(
-            re.fullmatch(r"cell seq/1/1/40: train=\S+ validation=\S+ "
+            re.fullmatch(r"cell seq/1/1/100: train=\S+ validation=\S+ "
                          r"perturb=\S+ cross=\S+", m)
             for m in messages
         )
@@ -170,16 +170,16 @@ class TestGrid:
             raise FloatingPointError("non-finite loss at window 0")
 
         monkeypatch.setattr(experiment, "run_cell", diverging)
-        reports = run_grid(TINY, (PERTURBED, CROSS_LANGUAGE))
+        reports = run_grid(TINY_SPEC, (PERTURBED, CROSS_LANGUAGE))
         for report in reports.values():
             assert report.cells == []
             assert report.failures == [
-                ("seq/1/1/40", "FloatingPointError: non-finite loss at window 0")
+                (cell, "FloatingPointError: non-finite loss at window 0") for cell in TINY_CELLS
             ]
 
     def test_threaded_matches_serial(self):
-        serial = run_perturbation_experiment(TINY)
-        threaded = run_perturbation_experiment(TINY, threads=2)
+        serial = run_perturbation_experiment(TINY_SPEC)
+        threaded = run_perturbation_experiment(TINY_SPEC, threads=2)
         assert serial.cells == threaded.cells
 
     def test_memory_error_recorded_per_cell(self, monkeypatch):
@@ -190,15 +190,10 @@ class TestGrid:
                 raise MemoryError("boom")
             return real(spec, modes, lang, order, width, size)
 
-        spec = ExperimentSpec(
-            languages=(SEQUENTIAL, CONCURRENT), orders=(1,), widths=(1,),
-            train_sizes=(40,), eval_size=10, max_len=10,
-            hidden_dim=8, layers=1, unroll=4, batch=4, epochs=1, seed=5,
-        )
         monkeypatch.setattr(experiment, "run_cell", flaky)
-        report = run_perturbation_experiment(spec)
-        assert len(report.cells) == 1 and report.cells[0].lang == SEQUENTIAL
-        assert report.failures == [("conc/1/1/40", "out of memory: boom")]
+        report = run_perturbation_experiment(TINY_SPEC)
+        assert [c.lang for c in report.cells] == [SEQUENTIAL, SEQUENTIAL]
+        assert report.failures == [(cell, "out of memory: boom") for cell in TINY_CELLS[2:]]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_any_exception_recorded_per_cell(self, monkeypatch, threads):

@@ -415,6 +415,21 @@ class TestJustificationAssignments:
         found = justification_assignments(arrow_arena, CONCURRENT, tokens, limit=5)
         assert len(found) == 2
 
+    def test_long_play_needs_no_recursion(self, arrow_arena):
+        # one stack frame per token would pass Python's recursion limit
+        pairs = [("q@ε", None)]
+        for k in range(600):
+            pairs += [("q@1", 0), ("a@1", 2 * k + 1)]
+        play = play_of(*pairs, ("a@ε", 0))
+        tokens = [pm.move.token for pm in play]
+        assert justification_assignments(arrow_arena, SEQUENTIAL, tokens) == [play]
+
+    def test_limit_below_one_rejected(self, arrow_arena):
+        tokens = ["q@ε", "q@1", "q@1", "a@1"]
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit must be at least 1"):
+                justification_assignments(arrow_arena, CONCURRENT, tokens, limit=limit)
+
     def test_empty_tokens(self, unit_arena):
         assert justification_assignments(unit_arena, SEQUENTIAL, []) == [PointedPlay()]
 

@@ -316,10 +316,10 @@ class TestLoss:
 
     def test_mask(self):
         logits = np.zeros((1, 4, 2))
-        mask = np.array([[True, False, True, False]])
-        bits, count = loss_bits(logits, np.zeros((1, 4), dtype=np.int64), mask)
-        assert count == 2
-        assert bits == pytest.approx(2.0, abs=1e-12)
+        for mask in ([[True, False, True, False]], [[1, 0, 1, 0]]):
+            bits, count = loss_bits(logits, np.zeros((1, 4), dtype=np.int64), np.array(mask))
+            assert count == 2
+            assert bits == pytest.approx(2.0, abs=1e-12)
 
 
 def numeric_gradients(model, ids, targets, step=1e-5):
