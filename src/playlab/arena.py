@@ -85,19 +85,23 @@ def parse_type(text: str) -> TypeTree:
     tokens = _tokenize(text)
     if not tokens:
         raise TypeSyntaxError("empty type expression", 0)
-    tree, pos = _parse_arrow(tokens, 0)
+    try:
+        tree, pos = _parse_arrow(tokens, 0)
+    except RecursionError:
+        raise TypeSyntaxError("parentheses nested too deeply", text.find("(")) from None
     if pos != len(tokens):
         raise TypeSyntaxError(f"unexpected {tokens[pos][0]!r}", tokens[pos][1])
     return tree
 
 
 def _parse_arrow(tokens, pos) -> tuple[TypeTree, int]:
-    head, pos = _parse_atom(tokens, pos)
-    if pos < len(tokens) and tokens[pos][0] == ARROW:
-        # T1 -> T2 grafts T1 as the first argument of T2's root.
-        tail, pos = _parse_arrow(tokens, pos + 1)
-        return TypeTree((head,) + tail.args), pos
-    return head, pos
+    # T1 -> ... -> Tn grafts T1 .. Tn-1 as the first arguments of Tn's root.
+    heads = []
+    tail, pos = _parse_atom(tokens, pos)
+    while pos < len(tokens) and tokens[pos][0] == ARROW:
+        heads.append(tail)
+        tail, pos = _parse_atom(tokens, pos + 1)
+    return TypeTree(tuple(heads) + tail.args), pos
 
 
 def _parse_atom(tokens, pos) -> tuple[TypeTree, int]:

@@ -8,7 +8,6 @@ mismatched model/corpus), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,10 +21,6 @@ from .arena import UnknownMoveError, make_arena, parse_type
 
 class CliError(Exception):
     """Domain error surfaced to the user with exit code 1."""
-
-
-def _default_out_dir() -> str:
-    return os.environ.get("PLAYLAB_OUT_DIR", ".")
 
 
 def _positive_int(text: str) -> int:
@@ -46,15 +41,6 @@ def _ratio(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
-
-
-def _rates(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(r) for r in text.split(",") if r)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated numbers, got {text!r}"
-        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,10 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--unroll", type=_positive_int, default=defaults.unroll)
     train.add_argument("--batch", type=_positive_int, default=defaults.batch)
     train.add_argument("--epochs", type=_positive_int, default=defaults.epochs)
-    train.add_argument("--lr-schedule", type=_rates, default=defaults.lr_schedule,
-                       help="comma-separated per-epoch rates (default: 1.0 x4 then halved)")
-    train.add_argument("--max-grad-norm", type=float, default=defaults.max_grad_norm)
-    train.add_argument("--init-scale", type=float, default=defaults.init_scale)
 
     ev = sub.add_parser("eval", help="perplexity of a model on a corpus")
     ev.add_argument("--model", required=True)
@@ -113,14 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="both trains each cell once and tests it on both sets")
     run.add_argument("--grid", choices=["desk", "full"], default="desk")
     run.add_argument("--seed", type=int, required=True)
-    run.add_argument("--out-dir", default=_default_out_dir(),
-                     help="output directory (default: $PLAYLAB_OUT_DIR or .)")
+    run.add_argument("--out-dir", default=".", help="output directory (default: .)")
     run.add_argument("--threads", type=_positive_int, default=1)
     run.add_argument("--epochs", type=_positive_int, help="override the grid's epoch count")
 
     plot = sub.add_parser("plot", help="render figures from a report CSV")
     plot.add_argument("--report", required=True)
-    plot.add_argument("--out-dir", default=_default_out_dir())
+    plot.add_argument("--out-dir", default=".")
     return parser
 
 
@@ -201,9 +182,6 @@ def _cmd_train(args) -> int:
         unroll=args.unroll,
         batch=args.batch,
         epochs=args.epochs,
-        lr_schedule=args.lr_schedule,
-        max_grad_norm=args.max_grad_norm,
-        init_scale=args.init_scale,
         seed=args.seed,
     )
     model = seqmodel.init_model(config)

@@ -91,7 +91,6 @@ class ReportCell:
     order: int
     width: int
     train_size: int
-    test_kind: str  # PERTURBED | CROSS_LANGUAGE | "" when read back from CSV
     train_ppl: float
     validation_ppl: float
     test_ppl: float
@@ -108,7 +107,11 @@ class ReportCell:
         return (self.train_ppl, self.validation_ppl, self.test_ppl)
 
     def label(self) -> str:
-        return f"{self.lang}/order{self.order}/width{self.width}/n{self.train_size}"
+        return _label(self.lang, self.order, self.width, self.train_size)
+
+
+def _label(lang: str, order: int, width: int, size: int) -> str:
+    return f"{lang}/order{order}/width{width}/n{size}"
 
 
 @dataclass
@@ -170,7 +173,7 @@ def run_cell(
         if mode == PERTURBED:
             test = perturb_corpus(test, PERTURB_RATIO, derive_seed(spec.seed, "perturb", *cell))
         test_ppl = _eval_ppl(model, vocab, test.plays)
-        results.append(ReportCell(*cell, mode, train_ppl, validation_ppl, test_ppl))
+        results.append(ReportCell(*cell, train_ppl, validation_ppl, test_ppl))
     return results
 
 
@@ -189,7 +192,7 @@ def run_grid(
     ]
 
     def one(cell):
-        label = "/".join(map(str, cell))
+        label = _label(*cell)
         if progress is not None:
             progress(f"cell {label}: start")
         try:
@@ -200,7 +203,7 @@ def run_grid(
             kind = "out of memory" if isinstance(e, MemoryError) else type(e).__name__
             return label, None, f"{kind}: {e}"
         if progress is not None:
-            tests = " ".join(f"{r.test_kind}={r.test_ppl:.3f}" for r in results)
+            tests = " ".join(f"{mode}={r.test_ppl:.3f}" for mode, r in zip(modes, results))
             progress(
                 f"cell {label}: train={results[0].train_ppl:.3f} "
                 f"validation={results[0].validation_ppl:.3f} {tests}"
@@ -255,22 +258,33 @@ def emit_report(report: Report, path) -> Path:
 
 
 def parse_report(path) -> Report:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != CSV_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    """Read a report CSV back; a malformed, unknown or repeated row raises
+    ValueError naming the file and line."""
     table: dict[tuple, dict[str, float]] = {}
-    for lang, order, width, size, name, value in rows[1:]:
-        table.setdefault((lang, int(order), int(width), int(size)), {})[name] = float(value)
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != CSV_HEADER:
+            raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+        for row in reader:
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                lang, order, width, size, name, value = row
+                key = (lang, int(order), int(width), int(size))
+                ppl = float(value)
+                if not (math.isfinite(ppl) and ppl > 0):
+                    raise ValueError(f"perplexity must be finite and > 0, got {value!r}")
+                if name not in BAR_SETS or name in table.setdefault(key, {}):
+                    raise ValueError(f"unknown or repeated {name!r} row for {_label(*key)}")
+                table[key][name] = ppl
+            except ValueError as e:
+                raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     report = Report()
-    for (lang, order, width, size), values in table.items():
+    for key, values in table.items():
         missing = [s for s in BAR_SETS if s not in values]
         if missing:
-            raise ValueError(f"{path}: {lang}/{order}/{width}/{size} missing {missing}")
-        report.cells.append(
-            ReportCell(lang, order, width, size, "",
-                       values["train"], values["validation"], values["test"])
-        )
+            raise ValueError(f"{path}: {_label(*key)} missing {missing}")
+        report.cells.append(ReportCell(*key, *(values[s] for s in BAR_SETS)))
     return report
 
 

@@ -127,30 +127,32 @@ def format_pointed(play: PointedPlay) -> str:
 
 
 def parse_pointed(text: str) -> PointedPlay:
-    items = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'token name justifier', got {raw!r}")
-        move = parse_token(parts[0])
-        try:
-            name = int(parts[1])
-            justifier = None if parts[2] == "*" else int(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad name or justifier in {raw!r}") from None
-        items.append(PointedMove(move, name, justifier))
-    return PointedPlay(tuple(items))
+    """One pointed play; see ``parse_pointed_file``."""
+    plays = parse_pointed_file(text)
+    if len(plays) > 1:
+        raise ValueError(f"expected one pointed play, got {len(plays)}")
+    return plays[0] if plays else PointedPlay()
 
 
 def parse_pointed_file(text: str) -> list[PointedPlay]:
-    """Blank-line-separated pointed plays."""
-    plays = []
-    for block in text.split("\n\n"):
-        if block.strip():
-            plays.append(parse_pointed(block))
+    """Pointed plays, one move per line; a blank (or all-whitespace) line
+    ends a play.  Errors name the line of ``text``."""
+    plays, items = [], []
+    # the blank line appended at the end closes the last play
+    for lineno, raw in enumerate([*text.split("\n"), ""], start=1):
+        parts = raw.split()
+        if not parts:
+            if items:
+                plays.append(PointedPlay(tuple(items)))
+                items = []
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'token name justifier', got {raw!r}")
+        try:
+            justifier = None if parts[2] == "*" else int(parts[2])
+            items.append(PointedMove(parse_token(parts[0]), int(parts[1]), justifier))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e} in {raw!r}") from None
     return plays
 
 

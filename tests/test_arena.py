@@ -93,6 +93,15 @@ class TestParseType:
     def test_render_round_trip(self, tree):
         assert parse_type(render_type(tree)) == tree
 
+    def test_long_arrow_chain(self):
+        # one stack frame per arrow would pass Python's recursion limit
+        assert parse_type(" -> ".join(["unit"] * 1201)) == TypeTree((LEAF,) * 1200)
+
+    def test_deep_nesting_is_syntax_error(self):
+        with pytest.raises(TypeSyntaxError, match="nested too deeply") as err:
+            parse_type("unit -> " + "(" * 1200 + "unit" + ")" * 1200)
+        assert err.value.position == 8
+
 
 class TestMoveTokens:
     def test_root_tokens(self):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,15 @@ from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY, TINY_SPEC
 
 TWO_ARG = "unit -> unit -> unit"
 
-# training runs that diverge: a step that overflows the parameters, and an
-# initialisation so large that the first window's loss overflows
+# training runs that diverge, as (seqmodel attribute, its replacement given
+# the original): a step that overflows the parameters, and an initialisation
+# so large that the first window's loss overflows
 DIVERGING = [
-    ["--lr-schedule", "1e308", "--max-grad-norm", "1e308"],
-    ["--init-scale", "1e6"],
+    ("default_lr_schedule", lambda real: lambda epochs: (1e308,) * epochs),
+    ("init_model", lambda real: lambda config: real(replace(config, init_scale=1e6))),
 ]
+TRAIN_FLAGS = ["--corpus", "--out", "--seed", "--embed-dim", "--hidden-dim", "--layers",
+               "--unroll", "--batch", "--epochs"]
 
 SUBPROCESS_ENV = dict(
     os.environ, PYTHONPATH=str(Path(playlab.__file__).resolve().parent.parent)
@@ -76,6 +80,11 @@ class TestGen:
         assert main(["gen", "--arena", "unit -> bool", "--lang", "seq",
                      "--count", "1", "--seed", "0"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        deep = "(" * 1200 + "unit" + ")" * 1200
+        assert main(["gen", "--arena", deep, "--lang", "seq", "--count", "1", "--seed", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: parentheses nested too deeply (at position 0)\n"
+        )
 
     def test_failed_write_keeps_old_corpus(self, tmp_path, capsys, disk_full_midway):
         path = tmp_path / "c.plays"
@@ -247,15 +256,6 @@ class TestTrainEval:
         assert main(["eval", "--model", str(model_path), "--corpus", str(other)]) == 1
         assert "does not match" in capsys.readouterr().err
 
-    def test_custom_lr_schedule(self, tmp_path, capsys):
-        corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
-        code = main([
-            "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m2.model"),
-            "--seed", "6", "--embed-dim", "8", "--hidden-dim", "8", "--layers", "1",
-            "--unroll", "4", "--batch", "4", "--epochs", "2", "--lr-schedule", "0.5,0.25",
-        ])
-        assert code == 0
-
     def test_defaults_come_from_model_config(self, tmp_path, capsys):
         corpus_path = gen_corpus(tmp_path, count=200, max_len=8)
         model_path = tmp_path / "m.model"
@@ -279,34 +279,32 @@ class TestTrainEval:
         )
         assert not (tmp_path / "m.model").exists()
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would print a second line
     @pytest.mark.parametrize("diverge", DIVERGING)
-    def test_diverging_train_is_domain_error(self, tmp_path, capsys, diverge):
+    def test_diverging_train_is_domain_error(self, tmp_path, capsys, monkeypatch, diverge):
         corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
+        name, patched = diverge
+        monkeypatch.setattr(playlab.seqmodel, name, patched(getattr(playlab.seqmodel, name)))
         code = main([
             "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.model"),
             "--seed", "6", "--embed-dim", "8", "--hidden-dim", "8", "--layers", "1",
-            "--unroll", "4", "--batch", "4", "--epochs", "1", *diverge,
+            "--unroll", "4", "--batch", "4", "--epochs", "1",
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert re.search(r" (at|after) window \d+", err), err
+        assert re.fullmatch(r"error: [^\n]* (at|after) window \d+[^\n]*\n", err), err
         assert not (tmp_path / "m.model").exists()
 
-    @pytest.mark.parametrize("diverge", DIVERGING)
-    def test_diverging_train_prints_one_line(self, tmp_path, diverge):
-        # a fresh interpreter shows numpy's RuntimeWarnings, which pytest hides
-        corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
-        result = subprocess.run(
-            [sys.executable, "-m", "playlab.cli",
-             "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.model"),
-             "--seed", "6", "--embed-dim", "8", "--hidden-dim", "8", "--layers", "1",
-             "--unroll", "4", "--batch", "4", "--epochs", "1", *diverge],
-            capture_output=True, text=True, env=SUBPROCESS_ENV,
-        )
-        assert result.returncode == 1
-        one_line = r"error: [^\n]* (at|after) window \d+[^\n]*\n"
-        assert re.fullmatch(one_line, result.stderr), result.stderr
+    def test_help_lists_the_flags(self, capsys):
+        assert main(["train", "--help"]) == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {*TRAIN_FLAGS, "--help"}
+
+    @pytest.mark.parametrize("flag", ["--lr-schedule", "--max-grad-norm", "--init-scale"])
+    def test_fixed_hyperparameters_are_not_flags(self, tmp_path, capsys, flag):
+        assert main(["train", "--corpus", str(tmp_path / "missing.plays"),
+                     "--out", str(tmp_path / "m.model"), "--seed", "6", flag, "0.5"]) == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
 
 # a bare flag belongs to `experiment`; the others name their command
@@ -335,7 +333,7 @@ class TestExperiment:
         assert (tmp_path / "report_perturb.csv").exists()
         assert (tmp_path / "perturb" / "ppl_seq_100.svg").exists()
         assert "report:" in captured.out and "figure:" in captured.out
-        assert "cell seq/1/1/100" in captured.err
+        assert "cell seq/order1/width1/n100: start" in captured.err
 
     def test_cross_mode_with_epoch_override(self, tmp_path, capsys, tiny_desk):
         code = main(["experiment", "cross", "--seed", "5", "--epochs", "1",
@@ -344,10 +342,11 @@ class TestExperiment:
         report = exp.parse_report(tmp_path / "report_cross.csv")
         assert len(report.cells) == 4
 
-    def test_out_dir_env_default(self, tmp_path, capsys, tiny_desk, monkeypatch):
-        monkeypatch.setenv("PLAYLAB_OUT_DIR", str(tmp_path / "envdir"))
+    def test_out_dir_defaults_to_cwd(self, tmp_path, capsys, tiny_desk, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["experiment", "perturb", "--seed", "5"]) == 0
-        assert (tmp_path / "envdir" / "report_perturb.csv").exists()
+        assert (tmp_path / "report_perturb.csv").exists()
+        assert (tmp_path / "perturb" / "ppl_seq_100.svg").exists()
 
     def test_both_modes(self, tmp_path, capsys, tiny_desk):
         args = ["--seed", "5", "--epochs", "1"]
@@ -377,7 +376,6 @@ class TestExperiment:
 
     @pytest.mark.parametrize("value, flag", [
         *((value, flag) for value in ("0", "-1", "x") for flag in COUNT_FLAGS),
-        ("1,a", "train --lr-schedule"),
         *((value, "perturb --ratio") for value in ("0", "1.5", "-1", "nan", "abc")),
     ])
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, monkeypatch,
@@ -394,10 +392,7 @@ class TestExperiment:
                         "--out", str(tmp_path / "p.plays")],
         }[command]
         assert main([*argv, flag, value]) == 2
-        wanted = {
-            "--lr-schedule": "must be comma-separated numbers",
-            "--ratio": "must be in (0, 1]",
-        }.get(flag, "must be at least 1")
+        wanted = "must be in (0, 1]" if flag == "--ratio" else "must be at least 1"
         assert f"{flag}: {wanted}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -405,11 +400,11 @@ class TestExperiment:
         def diverging(spec, modes, lang, order, width, size):
             if (lang, order, width) == ("conc", 2, 5):
                 raise FloatingPointError("non-finite loss at window 0")
-            return [exp.ReportCell(lang, order, width, size, mode, 2.0, 2.5, 8.0)
+            return [exp.ReportCell(lang, order, width, size, 2.0, 2.5, 8.0)
                     for mode in modes]
 
         monkeypatch.setattr(exp, "run_cell", diverging)
-        failed = "failed cell conc/2/5/10000: FloatingPointError: non-finite loss at window 0"
+        failed = "failed cell conc/order2/width5/n10000: FloatingPointError: non-finite loss at window 0"
         for mode, reports in (("perturb", ["perturb"]), ("both", ["perturb", "cross"])):
             code = main(["experiment", mode, "--seed", "5", "--out-dir", str(tmp_path)])
             assert code == 1
@@ -424,8 +419,8 @@ class TestPlot:
     def test_figures_from_csv(self, tmp_path, capsys):
         csv_path = exp.emit_report(
             exp.Report(cells=[
-                exp.ReportCell("seq", 1, 1, 10, "", 2.0, 2.5, 8.0),
-                exp.ReportCell("conc", 1, 1, 10, "", 2.0, 2.5, 8.0),
+                exp.ReportCell("seq", 1, 1, 10, 2.0, 2.5, 8.0),
+                exp.ReportCell("conc", 1, 1, 10, 2.0, 2.5, 8.0),
             ]),
             tmp_path / "r.csv",
         )

@@ -27,15 +27,16 @@ from playlab.seqmodel import ModelConfig
 
 from conftest import TINY_SPEC
 
-TINY_CELLS = ["seq/1/1/100", "seq/1/5/100", "conc/1/1/100", "conc/1/5/100"]
+TINY_CELLS = ["seq/order1/width1/n100", "seq/order1/width5/n100",
+              "conc/order1/width1/n100", "conc/order1/width5/n100"]
 
 
 def sample_report():
     return Report(
         cells=[
-            ReportCell(SEQUENTIAL, 1, 1, 40, PERTURBED, 2.5, 2.75, 9.5),
-            ReportCell(SEQUENTIAL, 2, 1, 40, PERTURBED, 3.5, 3.75, 30.25),
-            ReportCell(CONCURRENT, 1, 1, 40, PERTURBED, 2.25, 2.5, 8.125),
+            ReportCell(SEQUENTIAL, 1, 1, 40, 2.5, 2.75, 9.5),
+            ReportCell(SEQUENTIAL, 2, 1, 40, 3.5, 3.75, 30.25),
+            ReportCell(CONCURRENT, 1, 1, 40, 2.25, 2.5, 8.125),
         ]
     )
 
@@ -81,7 +82,7 @@ class TestSpec:
 
 class TestReportCell:
     def test_ratios(self):
-        cell = ReportCell(SEQUENTIAL, 1, 1, 10, PERTURBED, 2.0, 3.0, 12.0)
+        cell = ReportCell(SEQUENTIAL, 1, 1, 10, 2.0, 3.0, 12.0)
         assert cell.test_over_validation == 4.0
         assert cell.validation_over_train == 1.5
         assert cell.values() == (2.0, 3.0, 12.0)
@@ -96,13 +97,14 @@ class TestRunCell:
 
     def test_perturbed_cell(self):
         [cell] = run_cell(TINY_SPEC, (PERTURBED,), SEQUENTIAL, 1, 1, 100)
-        assert cell.test_kind == PERTURBED
         assert cell.lang == SEQUENTIAL and cell.train_size == 100
         assert all(v >= 1.0 for v in cell.values())
 
     def test_cross_language_cell(self):
-        [cell] = run_cell(TINY_SPEC, (CROSS_LANGUAGE,), SEQUENTIAL, 1, 1, 100)
-        assert cell.test_kind == CROSS_LANGUAGE
+        [cross] = run_cell(TINY_SPEC, (CROSS_LANGUAGE,), SEQUENTIAL, 1, 1, 100)
+        [perturbed] = run_cell(TINY_SPEC, (PERTURBED,), SEQUENTIAL, 1, 1, 100)
+        assert cross.values()[:2] == perturbed.values()[:2]
+        assert cross.test_ppl != perturbed.test_ppl
 
     def test_unknown_mode(self, monkeypatch):
         def no_training(*args):
@@ -142,15 +144,13 @@ class TestGrid:
     def test_perturbation_grid_shape(self):
         messages = []
         report = run_perturbation_experiment(TINY_SPEC, progress=messages.append)
-        assert ["/".join(map(str, (c.lang, c.order, c.width, c.train_size)))
-                for c in report.cells] == TINY_CELLS
+        assert [c.label() for c in report.cells] == TINY_CELLS
         assert report.failures == []
         assert any("start" in m for m in messages)
 
     def test_cross_language_grid(self):
         report = run_cross_language_experiment(TINY_SPEC)
-        assert len(report.cells) == 4
-        assert all(c.test_kind == CROSS_LANGUAGE for c in report.cells)
+        assert [c.label() for c in report.cells] == TINY_CELLS
 
     def test_grid_of_both_modes_matches_single_mode_runs(self):
         messages = []
@@ -160,7 +160,7 @@ class TestGrid:
         assert reports[PERTURBED].cells == run_perturbation_experiment(TINY_SPEC).cells
         assert reports[CROSS_LANGUAGE].cells == run_cross_language_experiment(TINY_SPEC).cells
         assert any(
-            re.fullmatch(r"cell seq/1/1/100: train=\S+ validation=\S+ "
+            re.fullmatch(r"cell seq/order1/width1/n100: train=\S+ validation=\S+ "
                          r"perturb=\S+ cross=\S+", m)
             for m in messages
         )
@@ -200,7 +200,7 @@ class TestGrid:
         def diverging(spec, modes, lang, order, width, size):
             if (lang, order, width) == (CONCURRENT, 2, 5):
                 raise FloatingPointError("non-finite loss at window 0")
-            return [ReportCell(lang, order, width, size, mode, 2.0, 2.5, 8.0) for mode in modes]
+            return [ReportCell(lang, order, width, size, 2.0, 2.5, 8.0) for mode in modes]
 
         monkeypatch.setattr(experiment, "run_cell", diverging)
         messages = []
@@ -209,9 +209,9 @@ class TestGrid:
         )
         assert len(report.cells) == 7
         assert report.failures == [
-            ("conc/2/5/10000", "FloatingPointError: non-finite loss at window 0")
+            ("conc/order2/width5/n10000", "FloatingPointError: non-finite loss at window 0")
         ]
-        assert any("cell conc/2/5/10000: failed\nTraceback" in m for m in messages)
+        assert any("cell conc/order2/width5/n10000: failed\nTraceback" in m for m in messages)
 
 
 class TestReportFile:
@@ -231,7 +231,7 @@ class TestReportFile:
 
     def test_repr_precision_survives(self, tmp_path):
         report = Report(cells=[
-            ReportCell(SEQUENTIAL, 1, 1, 10, PERTURBED, 2.0000000000000004, 3.1, 7.0)
+            ReportCell(SEQUENTIAL, 1, 1, 10, 2.0000000000000004, 3.1, 7.0)
         ])
         back = parse_report(emit_report(report, tmp_path / "r.csv"))
         assert back.cells[0].train_ppl == 2.0000000000000004
@@ -257,6 +257,25 @@ class TestReportFile:
             "seq,1,1,10,train,2.0\nseq,1,1,10,test,9.0\n"
         )
         with pytest.raises(ValueError, match="validation"):
+            parse_report(path)
+
+    @pytest.mark.parametrize("row, wanted", [
+        ("seq,1,1,10,train", "expected 6 fields, got 5"),
+        ("seq,1,x,10,train,2.0", "invalid literal for int()"),
+        ("seq,1,1,10,train,abc", "could not convert string to float: 'abc'"),
+        *((f"seq,1,1,10,train,{value}", f"perplexity must be finite and > 0, got '{value}'")
+          for value in ("0", "-2.0", "nan", "inf")),
+        ("seq,1,1,10,training,2.0", "unknown or repeated 'training' row for seq/order1/width1/n10"),
+        ("seq,1,1,10,test,50.0", "unknown or repeated 'test' row for seq/order1/width1/n10"),
+    ])
+    def test_rejects_malformed_row(self, tmp_path, row, wanted):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "lang,order,width,train_size,set,perplexity\n"
+            "seq,1,1,10,train,2.0\nseq,1,1,10,validation,2.5\nseq,1,1,10,test,9.0\n"
+            f"{row}\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: {wanted}")):
             parse_report(path)
 
 

@@ -393,6 +393,22 @@ class TestPointedText:
             parse_pointed("q@ε 0")
         with pytest.raises(ValueError):
             parse_pointed("q@ε zero *")
+        with pytest.raises(ValueError, match="expected one pointed play, got 2"):
+            parse_pointed("q@ε 0 *\n\nq@ε 0 *\n")
+
+    def test_whitespace_line_separates_plays(self, unit_arena):
+        play = "q@ε 0 *\na@ε 1 0\n"
+        plays = parse_pointed_file(play + " \n" + play)
+        assert plays == [play_of(("q@ε", None), ("a@ε", 0))] * 2
+        assert [check_sequential(unit_arena, p).legal for p in plays] == [True, True]
+
+    def test_errors_name_the_file_line(self):
+        play = "q@ε 0 *\na@ε 1 0\n"
+        text = play + "\n" + play + "\n" + "q@ε 0 *\nq@ε 1\n"
+        with pytest.raises(ValueError, match=r"^line 8: expected 'token name justifier'"):
+            parse_pointed_file(text)
+        with pytest.raises(ValueError, match=r"^line 4: malformed move token 'x@1' in 'x@1 0 \*'$"):
+            parse_pointed_file(play + "\nx@1 0 *\n")
 
 
 class TestJustificationAssignments:
