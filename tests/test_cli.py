@@ -19,13 +19,16 @@ from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY, TINY_SPEC
 
 TWO_ARG = "unit -> unit -> unit"
 
-# training runs that diverge, as (seqmodel attribute, its replacement given
-# the original): a step that overflows the parameters, and an initialisation
-# so large that the first window's loss overflows
+# training runs that diverge, as (seqmodel attribute, source of its
+# replacement given the original): a step that overflows the parameters, and
+# an initialisation so large that the first window's loss overflows; kept as
+# source so a fresh interpreter can apply the same patch
 DIVERGING = [
-    ("default_lr_schedule", lambda real: lambda epochs: (1e308,) * epochs),
-    ("init_model", lambda real: lambda config: real(replace(config, init_scale=1e6))),
+    ("default_lr_schedule", "lambda real: lambda epochs: (1e308,) * epochs"),
+    ("init_model", "lambda real: lambda config: real(replace(config, init_scale=1e6))"),
 ]
+DIVERGING_TRAIN_ARGS = ["--seed", "6", "--embed-dim", "8", "--hidden-dim", "8", "--layers", "1",
+                        "--unroll", "4", "--batch", "4", "--epochs", "1"]
 TRAIN_FLAGS = ["--corpus", "--out", "--seed", "--embed-dim", "--hidden-dim", "--layers",
                "--unroll", "--batch", "--epochs"]
 
@@ -283,16 +286,38 @@ class TestTrainEval:
     @pytest.mark.parametrize("diverge", DIVERGING)
     def test_diverging_train_is_domain_error(self, tmp_path, capsys, monkeypatch, diverge):
         corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
-        name, patched = diverge
+        name, source = diverge
+        patched = eval(source, {"replace": replace})
         monkeypatch.setattr(playlab.seqmodel, name, patched(getattr(playlab.seqmodel, name)))
-        code = main([
-            "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.model"),
-            "--seed", "6", "--embed-dim", "8", "--hidden-dim", "8", "--layers", "1",
-            "--unroll", "4", "--batch", "4", "--epochs", "1",
-        ])
+        code = main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.model"),
+                     *DIVERGING_TRAIN_ARGS])
         assert code == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [^\n]* (at|after) window \d+[^\n]*\n", err), err
+        assert not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("diverge", DIVERGING)
+    def test_diverging_train_prints_one_line(self, tmp_path, diverge):
+        # a fresh interpreter shows numpy's RuntimeWarnings, which pytest hides
+        corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
+        name, source = diverge
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "import playlab.seqmodel as seqmodel\n"
+            "from playlab.cli import main\n"
+            f"seqmodel.{name} = ({source})(seqmodel.{name})\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script,
+             "train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.model"),
+             *DIVERGING_TRAIN_ARGS],
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
+        )
+        assert result.returncode == 1
+        one_line = r"error: [^\n]* (at|after) window \d+[^\n]*\n"
+        assert re.fullmatch(one_line, result.stderr), result.stderr
         assert not (tmp_path / "m.model").exists()
 
     def test_help_lists_the_flags(self, capsys):
