@@ -85,9 +85,9 @@ from .seqmodel import (
     ModelConfig,
     ModelFormatError,
     backward,
-    default_lr_schedule,
     forward,
     init_model,
+    learning_rate,
     load_model,
     loss_bits,
     perplexity,

@@ -263,9 +263,6 @@ class Arena:
         i = self.index(move)
         return Polarity(self.player[i], QUESTION if self.is_question[i] else ANSWER)
 
-    def spec(self) -> str:
-        return render_type(self.tree)
-
 
 def make_arena(tree: TypeTree) -> Arena:
     return Arena(tree)

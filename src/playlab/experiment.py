@@ -53,8 +53,8 @@ class ExperimentSpec:
     cell trains ``ModelConfig``'s LSTM shape at ``hidden_dim``, on plays of
     at most ``MAX_LEN`` moves.  The default is the desk-scale grid (orders
     1-2, hidden 128, 10k training plays, 4 epochs); ``full()`` restores the
-    large grid with orders 1-3, training sizes 10k and 100k, hidden 200 and
-    13 epochs.
+    large grid with orders 1-3, training sizes 10k and 100k, and
+    ``ModelConfig``'s default hidden size (200) and epochs (13).
     """
 
     languages: ClassVar[tuple[str, ...]] = LANGUAGES
@@ -75,8 +75,8 @@ class ExperimentSpec:
         return cls(
             orders=(1, 2, 3),
             train_sizes=(10_000, 100_000),
-            hidden_dim=200,
-            epochs=13,
+            hidden_dim=ModelConfig.hidden_dim,
+            epochs=ModelConfig.epochs,
             seed=seed,
         )
 
@@ -272,8 +272,9 @@ def parse_report(path) -> Report:
                 lang, order, width, size, name, value = row
                 key = (lang, int(order), int(width), int(size))
                 ppl = float(value)
-                if not (math.isfinite(ppl) and ppl > 0):
-                    raise ValueError(f"perplexity must be finite and > 0, got {value!r}")
+                # a perplexity is 2^(bits/token), and a loss in bits is never negative
+                if not (math.isfinite(ppl) and ppl >= 1):
+                    raise ValueError(f"perplexity must be finite and >= 1, got {value!r}")
                 if name not in BAR_SETS or name in table.setdefault(key, {}):
                     raise ValueError(f"unknown or repeated {name!r} row for {_label(*key)}")
                 table[key][name] = ppl

@@ -44,9 +44,14 @@ class ModelFormatError(ValueError):
     """Raised on unreadable model containers (bad magic, version, checksum)."""
 
 
-def default_lr_schedule(epochs: int) -> tuple[float, ...]:
-    """Rate 1.0 for the first four epochs, then halved every epoch."""
-    return tuple(1.0 if e <= 4 else 2.0 ** (4 - e) for e in range(1, epochs + 1))
+# the fixed training recipe of Zaremba et al. (2014)
+MAX_GRAD_NORM = 5.0  # global L2 norm each window's gradients are clipped to
+INIT_SCALE = 0.1  # weights start uniform on [-INIT_SCALE, INIT_SCALE]
+
+
+def learning_rate(epoch: int) -> float:
+    """Rate 1.0 for the first four epochs (1-based), then halved every epoch."""
+    return 1.0 if epoch <= 4 else 2.0 ** (4 - epoch)
 
 
 @dataclass(frozen=True)
@@ -58,34 +63,31 @@ class ModelConfig:
     unroll: int = 20
     batch: int = 20
     epochs: int = 13
-    lr_schedule: tuple[float, ...] = ()
-    max_grad_norm: float = 5.0
-    init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         for name in ("vocab_size", "embed_dim", "hidden_dim", "layers", "unroll", "batch", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.max_grad_norm < math.inf:
-            raise ValueError(f"max_grad_norm must be positive and finite, got {self.max_grad_norm}")
-        if not 0 <= self.init_scale < math.inf:
-            raise ValueError(f"init_scale must be nonnegative and finite, got {self.init_scale}")
-        schedule = tuple(float(r) for r in self.lr_schedule)
-        if not all(map(math.isfinite, schedule)):
-            raise ValueError(f"lr_schedule rates must be finite, got {schedule}")
-        if not schedule:
-            schedule = default_lr_schedule(self.epochs)
-        if len(schedule) != self.epochs:
-            raise ValueError("lr_schedule must have one rate per epoch")
-        object.__setattr__(self, "lr_schedule", schedule)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """The fields plus the fixed recipe, so a container records how its
+        model was trained."""
+        return json.dumps(dict(
+            asdict(self),
+            lr_schedule=[learning_rate(e) for e in range(1, self.epochs + 1)],
+            max_grad_norm=MAX_GRAD_NORM,
+            init_scale=INIT_SCALE,
+        ), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
+        """The fields; the recorded recipe is skipped, so containers written
+        while the recipe was settable still load."""
+        fields = json.loads(text)
+        for key in ("lr_schedule", "max_grad_norm", "init_scale"):
+            fields.pop(key, None)
+        return cls(**fields)
 
 
 @dataclass
@@ -127,9 +129,6 @@ class LstmModel:
     def param_count(self) -> int:
         return self.vector.size
 
-    def copy(self) -> "LstmModel":
-        return LstmModel(self.config, self.vector.copy())
-
 
 def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Each parameter's (name, shape), in vector order."""
@@ -147,7 +146,7 @@ def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def init_model(config: ModelConfig) -> LstmModel:
-    """Weights i.i.d. uniform on [-init_scale, init_scale] from the stream
+    """Weights i.i.d. uniform on [-INIT_SCALE, INIT_SCALE] from the stream
     (seed, "init"); biases zero except forget-gate blocks at 1.0.
 
     Draw order is fixed (embedding, then each layer's w_x and w_h, then the
@@ -157,7 +156,7 @@ def init_model(config: ModelConfig) -> LstmModel:
     model = LstmModel(config)
     for _, p in model.params():
         if p.ndim == 2:
-            p[...] = rng.uniform(-config.init_scale, config.init_scale, p.shape)
+            p[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, p.shape)
     H = config.hidden_dim
     for cell in model.cells:
         cell.bias[H : 2 * H] = 1.0
@@ -367,7 +366,7 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
     config = model.config
     if not 1 <= epoch <= config.epochs:
         raise ValueError(f"epoch must be in 1..{config.epochs}, got {epoch}")
-    lr = config.lr_schedule[epoch - 1]
+    lr = learning_rate(epoch)
     ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
     B, U = config.batch, config.unroll
     rows = ids.size // B
@@ -386,7 +385,7 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
         )
         if not math.isfinite(bits):
             raise FloatingPointError(f"non-finite loss at window {w}")
-        clip_gradients(grads, config.max_grad_norm)
+        clip_gradients(grads, MAX_GRAD_NORM)
         model.vector -= lr * grads.vector
         if not np.isfinite(model.vector).all():
             raise FloatingPointError(f"non-finite parameters after window {w}")
@@ -487,7 +486,7 @@ def load_model(path) -> LstmModel:
     offset = 16 + blob_len
     try:
         config = ModelConfig.from_json(body[16:offset].decode("utf-8"))
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, AttributeError) as e:
         raise ModelFormatError(f"bad config block: {e}") from None
     n = sum(math.prod(shape) for _, shape in _layout(config))
     if offset + 8 * n > len(body):

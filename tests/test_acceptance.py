@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from playlab.arena import make_arena, parse_type, uniform_tree
+from playlab.arena import make_arena, parse_type, render_type, uniform_tree
 from playlab.corpus import (
     EOP,
     Corpus,
@@ -37,6 +37,7 @@ from playlab.play import (
 )
 from playlab.rng import derive_seed, substream
 from playlab.seqmodel import (
+    LstmModel,
     ModelConfig,
     backward,
     forward,
@@ -99,7 +100,7 @@ def _generated_sample(lang: str, order: int, width: int):
         flat = tuple((pm.move.token, pm.justifier) for pm in play)
         prefixes.update(flat[:k] for k in range(1, min(4, len(flat)) + 1))
         lines.append(elide(play))
-    text = corpus_text(Corpus(arena.spec(), lang, seed, lines))
+    text = corpus_text(Corpus(render_type(arena.tree), lang, seed, lines))
     return arena, seed, text, tuple(bad), frozenset(prefixes)
 
 
@@ -291,9 +292,9 @@ def test_criterion_07_perplexity_calibration():
     arena = make_arena(parse_type("unit -> unit"))
     vocab = build_vocab(arena)
     failures = []
-    flat = init_model(
+    flat = LstmModel(
         ModelConfig(vocab_size=len(vocab), embed_dim=8, hidden_dim=8, layers=2,
-                    unroll=4, batch=2, epochs=1, init_scale=0.0)
+                    unroll=4, batch=2, epochs=1)
     )
     seqs = [vocab.encode(("q@ε", "a@ε", EOP)), vocab.encode(("q@ε", EOP))]
     zero_ppl = perplexity(flat, seqs).perplexity

@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,8 +23,8 @@ TWO_ARG = "unit -> unit -> unit"
 # an initialisation so large that the first window's loss overflows; kept as
 # source so a fresh interpreter can apply the same patch
 DIVERGING = [
-    ("default_lr_schedule", "lambda real: lambda epochs: (1e308,) * epochs"),
-    ("init_model", "lambda real: lambda config: real(replace(config, init_scale=1e6))"),
+    ("learning_rate", "lambda real: lambda epoch: 1e308"),
+    ("INIT_SCALE", "lambda real: 1e6"),
 ]
 DIVERGING_TRAIN_ARGS = ["--seed", "6", "--embed-dim", "8", "--hidden-dim", "8", "--layers", "1",
                         "--unroll", "4", "--batch", "4", "--epochs", "1"]
@@ -287,7 +286,7 @@ class TestTrainEval:
     def test_diverging_train_is_domain_error(self, tmp_path, capsys, monkeypatch, diverge):
         corpus_path = gen_corpus(tmp_path, count=120, max_len=8)
         name, source = diverge
-        patched = eval(source, {"replace": replace})
+        patched = eval(source)
         monkeypatch.setattr(playlab.seqmodel, name, patched(getattr(playlab.seqmodel, name)))
         code = main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.model"),
                      *DIVERGING_TRAIN_ARGS])
@@ -303,7 +302,6 @@ class TestTrainEval:
         name, source = diverge
         script = (
             "import sys\n"
-            "from dataclasses import replace\n"
             "import playlab.seqmodel as seqmodel\n"
             "from playlab.cli import main\n"
             f"seqmodel.{name} = ({source})(seqmodel.{name})\n"
@@ -441,6 +439,16 @@ class TestExperiment:
 
 
 class TestPlot:
+    def test_perplexity_below_one_is_domain_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "r.csv"
+        csv_path.write_text(
+            "lang,order,width,train_size,set,perplexity\n"
+            "seq,1,1,10,train,0.5\nseq,1,1,10,validation,2.5\nseq,1,1,10,test,9.0\n"
+        )
+        assert main(["plot", "--report", str(csv_path), "--out-dir", str(tmp_path / "figs")]) == 1
+        assert "line 2: perplexity must be finite and >= 1, got '0.5'" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
     def test_figures_from_csv(self, tmp_path, capsys):
         csv_path = exp.emit_report(
             exp.Report(cells=[

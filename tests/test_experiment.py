@@ -263,8 +263,8 @@ class TestReportFile:
         ("seq,1,1,10,train", "expected 6 fields, got 5"),
         ("seq,1,x,10,train,2.0", "invalid literal for int()"),
         ("seq,1,1,10,train,abc", "could not convert string to float: 'abc'"),
-        *((f"seq,1,1,10,train,{value}", f"perplexity must be finite and > 0, got '{value}'")
-          for value in ("0", "-2.0", "nan", "inf")),
+        *((f"seq,1,1,10,train,{value}", f"perplexity must be finite and >= 1, got '{value}'")
+          for value in ("0", "-2.0", "nan", "inf", "0.5")),
         ("seq,1,1,10,training,2.0", "unknown or repeated 'training' row for seq/order1/width1/n10"),
         ("seq,1,1,10,test,50.0", "unknown or repeated 'test' row for seq/order1/width1/n10"),
     ])

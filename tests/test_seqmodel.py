@@ -1,21 +1,27 @@
+import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import playlab.seqmodel as seqmodel
 from playlab.rng import substream
 from playlab.seqmodel import (
+    INIT_SCALE,
+    MAX_GRAD_NORM,
     Evaluation,
     LayerParams,
+    LstmModel,
     ModelConfig,
     ModelFormatError,
     backward,
     clip_gradients,
-    default_lr_schedule,
     forward,
     init_model,
+    learning_rate,
     load_model,
     loss_bits,
     perplexity,
@@ -52,22 +58,29 @@ def tiny_config(**kw):
 
 class TestSchedule:
     def test_default_values(self):
-        lr = default_lr_schedule(13)
-        assert lr[:4] == (1.0, 1.0, 1.0, 1.0)
+        lr = [learning_rate(epoch) for epoch in range(1, 14)]
+        assert lr[:4] == [1.0, 1.0, 1.0, 1.0]
         assert lr[4] == 0.5
         assert lr[12] == 2.0**-9
 
     def test_short_run_never_decays(self):
-        assert default_lr_schedule(4) == (1.0,) * 4
+        assert [learning_rate(epoch) for epoch in range(1, 5)] == [1.0] * 4
 
 
 class TestConfig:
-    def test_schedule_autofill(self):
-        config = tiny_config(epochs=6)
-        assert config.lr_schedule == default_lr_schedule(6)
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "vocab_size", "embed_dim", "hidden_dim", "layers", "unroll", "batch", "epochs", "seed"
+        ]
+
+    def test_recipe_is_not_a_setting(self):
+        for setting in ({"lr_schedule": (0.5, 0.25)}, {"max_grad_norm": 1.0},
+                        {"init_scale": 0.0}):
+            with pytest.raises(TypeError):
+                tiny_config(**setting)
 
     def test_json_round_trip(self):
-        config = tiny_config(lr_schedule=(0.5, 0.25))
+        config = tiny_config()
         assert ModelConfig.from_json(config.to_json()) == config
 
     def test_validation(self):
@@ -75,15 +88,6 @@ class TestConfig:
             tiny_config(vocab_size=0)
         with pytest.raises(ValueError):
             tiny_config(hidden_dim=0)
-        with pytest.raises(ValueError):
-            tiny_config(lr_schedule=(1.0,))
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="max_grad_norm"):
-                tiny_config(max_grad_norm=bad)
-            with pytest.raises(ValueError, match="init_scale"):
-                tiny_config(init_scale=bad)
-            with pytest.raises(ValueError, match="lr_schedule"):
-                tiny_config(lr_schedule=(1.0, bad))
 
     def test_default_param_count(self):
         model = init_model(ModelConfig(vocab_size=5))
@@ -110,23 +114,13 @@ def assert_layout(model):
 
 
 class TestLayout:
-    @pytest.mark.parametrize("source", ["init", "load", "copy"])
+    @pytest.mark.parametrize("source", ["init", "load"])
     def test_params_tile_one_vector(self, tmp_path, source):
         model = init_model(tiny_config())
         if source == "load":
             save_model(model, tmp_path / "m.model")
             model = load_model(tmp_path / "m.model")
-        elif source == "copy":
-            model = model.copy()
         assert_layout(model)
-
-    def test_copy_shares_no_memory(self):
-        model = init_model(tiny_config())
-        dup = model.copy()
-        for (name, p), (_, q) in zip(model.params(), dup.params()):
-            assert not np.shares_memory(p, q), name
-            assert np.array_equal(p, q), name
-        assert not np.shares_memory(model.vector, dup.vector)
 
 
 class TestPinnedBits:
@@ -181,11 +175,11 @@ class TestInit:
         assert not np.array_equal(a.embedding, b.embedding)
 
     def test_scale_bounds_and_biases(self):
-        model = init_model(tiny_config(init_scale=0.25))
+        model = init_model(tiny_config())
         H = model.config.hidden_dim
         for name, p in model.params():
             if p.ndim == 2:
-                assert np.abs(p).max() <= 0.25
+                assert np.abs(p).max() <= INIT_SCALE
                 assert np.abs(p).max() > 0.0
         for layer in model.cells:
             assert np.array_equal(layer.bias[H : 2 * H], np.ones(H))
@@ -195,15 +189,16 @@ class TestInit:
         # the forget-gate block is an LSTM rule, also when proj_bias has 4H entries
         assert not init_model(tiny_config(vocab_size=4 * H)).proj_bias.any()
 
-    def test_zero_scale(self):
-        model = init_model(tiny_config(init_scale=0.0))
+    def test_zero_scale(self, monkeypatch):
+        monkeypatch.setattr(seqmodel, "INIT_SCALE", 0.0)
+        model = init_model(tiny_config())
         assert not model.embedding.any()
         assert not model.proj.any()
 
 
 class TestStepCell:
     def test_rest_state_is_fixed(self):
-        model = init_model(tiny_config(init_scale=0.0))
+        model = LstmModel(tiny_config())
         H = model.config.hidden_dim
         x = np.zeros((3, H))
         h, c = step_cell(x, np.zeros((3, H)), np.zeros((3, H)), model.cells[0])
@@ -243,7 +238,7 @@ class TestStepCell:
 
 class TestForward:
     def test_zero_model_is_uniform(self):
-        model = init_model(tiny_config(init_scale=0.0))
+        model = LstmModel(tiny_config())
         logits, _ = forward(model, np.zeros((2, 3), dtype=np.int64))
         probs = softmax(logits)
         assert np.allclose(probs, 1.0 / model.config.vocab_size, rtol=0, atol=1e-15)
@@ -420,7 +415,7 @@ class TestTraining:
 
 class TestPerplexity:
     def test_zero_model_scores_vocab_size(self):
-        model = init_model(tiny_config(init_scale=0.0))
+        model = LstmModel(tiny_config())
         seqs = [np.array([2, 1, 0]), np.array([3, 0])]
         result = perplexity(model, seqs)
         assert result.token_count == 5
@@ -506,6 +501,36 @@ class TestContainer:
         save_model(model, path)
         seqs = [np.array([1, 2, 3]), np.array([4, 0])]
         assert perplexity(load_model(path), seqs) == perplexity(model, seqs)
+
+    @staticmethod
+    def _config_block(data):
+        end = 16 + int.from_bytes(data[8:16], "little")
+        return json.loads(data[16:end]), end
+
+    def test_records_the_recipe(self, tmp_path):
+        config = tiny_config(epochs=6)
+        path = tmp_path / "m.model"
+        save_model(LstmModel(config), path)
+        recorded, _ = self._config_block(path.read_bytes())
+        assert recorded["lr_schedule"] == [learning_rate(e) for e in range(1, 7)]
+        assert recorded["max_grad_norm"] == MAX_GRAD_NORM == 5.0
+        assert recorded["init_scale"] == INIT_SCALE == 0.1
+
+    def test_loads_a_different_recorded_recipe(self, tmp_path):
+        # a container from when the recipe was settable, with a checksum to match
+        model = init_model(tiny_config())
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        data = path.read_bytes()
+        recorded, end = self._config_block(data)
+        recorded.update(lr_schedule=[0.5, 0.25], max_grad_norm=1.0, init_scale=0.25)
+        blob = json.dumps(recorded, sort_keys=True).encode("utf-8")
+        body = data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        back = load_model(path)
+        assert back.config == model.config
+        seqs = [np.array([1, 2, 3]), np.array([4, 0])]
+        assert perplexity(back, seqs) == perplexity(model, seqs)
 
     def _mangle(self, tmp_path, mutate):
         model = init_model(tiny_config())
