@@ -226,7 +226,8 @@ class Arena:
             sorted(MoveId(p, k) for p in paths for k in (ANSWER, QUESTION))
         )
         self.tokens: tuple[str, ...] = tuple(m.token for m in self.moves)
-        self._index: dict[MoveId, int] = {m: i for i, m in enumerate(self.moves)}
+        # keyed by each move and by its token, so either names the move
+        self._index = {k: i for i, m in enumerate(self.moves) for k in (m, m.token)}
         self.initial = MoveId((), QUESTION)
 
         n = len(self.moves)
@@ -250,10 +251,10 @@ class Arena:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def __contains__(self, move: MoveId) -> bool:
+    def __contains__(self, move: MoveId | str) -> bool:
         return move in self._index
 
-    def index(self, move: MoveId) -> int:
+    def index(self, move: MoveId | str) -> int:
         try:
             return self._index[move]
         except KeyError:

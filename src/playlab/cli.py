@@ -64,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("file", help="corpus file or pointed-play file")
     check.add_argument("--lang", choices=playlib.LANGUAGES,
                        help="override the language (required for pointed files)")
-    check.add_argument("--arena", help="type expression (required for pointed files)")
+    check.add_argument("--arena", help="type expression (pointed files only, and required there)")
 
     pert = sub.add_parser("perturb", help="apply random token edits to a corpus")
     pert.add_argument("file", help="corpus file")
-    pert.add_argument("--ratio", type=_ratio, default=0.1)
+    pert.add_argument("--ratio", type=_ratio, default=corpuslib.PERTURB_RATIO)
     pert.add_argument("--seed", type=int, required=True)
     pert.add_argument("--require-illegal", action="store_true",
                       help="re-roll until no pointer reconstruction is legal")
@@ -130,8 +130,10 @@ def _is_corpus_file(path: str) -> bool:
 def _cmd_check(args) -> int:
     counts = dict.fromkeys(("legal", "illegal", "ambiguous"), 0)
     if _is_corpus_file(args.file):
+        if args.arena is not None:
+            raise CliError("--arena is for pointed-play files; a corpus file names its arena")
         corpus = corpuslib.read_corpus(args.file)
-        arena = make_arena(parse_type(args.arena or corpus.arena_spec))
+        arena = make_arena(parse_type(corpus.arena_spec))
         lang = args.lang or corpus.language
         for i, seq in enumerate(corpus.plays, start=1):
             tokens = [t for t in seq if t != corpuslib.EOP]

@@ -24,6 +24,7 @@ EOP = "$"
 MAX_LEN = 50  # longest play the experiments and ``gen`` draw by default
 P_STOP = 0.05  # chance of stopping at each nonempty prefix with no pending question
 MAX_ATTEMPTS = 500  # re-rolls per play before perturb_corpus gives up on illegality
+PERTURB_RATIO = 0.1  # default share of a play's tokens that perturbation edits
 
 TokenSeq = tuple[str, ...]
 
@@ -36,17 +37,12 @@ class Vocab:
     """Dense token ids for one arena: EOP is 0, then the arena's move
     tokens in canonical order."""
 
-    def __init__(self, tokens):
-        self.tokens: tuple[str, ...] = tuple(tokens)
+    def __init__(self, arena: Arena):
+        self.tokens: tuple[str, ...] = (EOP,) + arena.tokens
         self.index: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
-        if self.tokens[0] != EOP or len(self.index) != len(self.tokens):
-            raise ValueError("vocabulary must start with EOP and be duplicate-free")
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
 
     def encode(self, seq: TokenSeq) -> np.ndarray:
         try:
@@ -54,12 +50,9 @@ class Vocab:
         except KeyError as e:
             raise KeyError(f"token {e.args[0]!r} not in vocabulary") from None
 
-    def decode(self, ids) -> TokenSeq:
-        return tuple(self.tokens[int(i)] for i in ids)
-
 
 def build_vocab(arena: Arena) -> Vocab:
-    return Vocab((EOP,) + arena.tokens)
+    return Vocab(arena)
 
 
 @dataclass
@@ -182,14 +175,14 @@ def read_corpus(path) -> Corpus:
         count = int(_header_value(lines[4], 5, "count"))
     except ValueError as e:
         raise CorpusFormatError(f"bad header number: {e}") from None
-    vocab = build_vocab(make_arena(parse_type(spec)))
+    arena = make_arena(parse_type(spec))
     plays = []
     for lineno, line in enumerate(lines[5:], start=6):
         if not line.strip():
             continue
         seq = tuple(line.split())
         for tok in seq:
-            if tok not in vocab:
+            if tok != EOP and tok not in arena:
                 raise CorpusFormatError(
                     f"line {lineno}: token {tok!r} outside arena vocabulary"
                 )

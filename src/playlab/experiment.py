@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import ClassVar
 
 from .arena import make_arena, uniform_tree
-from .corpus import MAX_LEN, Corpus, Vocab, build_vocab, generate_corpus, perturb_corpus
+from .corpus import (MAX_LEN, PERTURB_RATIO, Corpus, Vocab, build_vocab, generate_corpus,
+                     perturb_corpus)
 from .fileio import write_atomic
 from .play import CONCURRENT, LANGUAGES, SEQUENTIAL
 from .rng import derive_seed
@@ -41,8 +42,6 @@ TEST_MODES = (PERTURBED, CROSS_LANGUAGE)
 CSV_HEADER = ["lang", "order", "width", "train_size", "set", "perplexity"]
 BAR_SETS = ("train", "validation", "test")
 BAR_COLORS = {"train": "navy", "validation": "turquoise", "test": "yellow"}
-
-PERTURB_RATIO = 0.1  # share of each test play's tokens that perturbation edits
 
 
 @dataclass(frozen=True)

@@ -425,7 +425,7 @@ def justification_assignments(
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    want = [arena.index(parse_token(t)) for t in tokens]
+    want = [arena.index(t) for t in tokens]
     results: list[PointedPlay] = []
     spent = 0
     state = _PlayState(arena, lang)

@@ -66,9 +66,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "layers", "unroll", "batch", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, value in asdict(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def to_json(self) -> str:
         """The fields plus the fixed recipe, so a container records how its

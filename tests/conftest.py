@@ -1,4 +1,6 @@
 import errno
+import hashlib
+import json
 import os
 
 import pytest
@@ -85,3 +87,19 @@ def disk_full_midway(monkeypatch):
         lambda *args, **kwargs: _HalfThenFull(open(*args, **kwargs)),
         raising=False,
     )
+
+
+def config_block(data: bytes) -> tuple[dict, int]:
+    """A model container's config JSON, and the offset where it ends."""
+    end = 16 + int.from_bytes(data[8:16], "little")
+    return json.loads(data[16:end]), end
+
+
+def rewrite_config(path, **fields) -> None:
+    """Edit a model container's config block, with a checksum to match."""
+    data = path.read_bytes()
+    recorded, end = config_block(data)
+    recorded.update(fields)
+    blob = json.dumps(recorded, sort_keys=True).encode("utf-8")
+    body = data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:-32]
+    path.write_bytes(body + hashlib.sha256(body).digest())

@@ -125,6 +125,21 @@ class TestMoveTokens:
             parse_token(bad)
 
 
+class TestTokenLookup:
+    @pytest.mark.parametrize("order, width", [(1, 1), (2, 5), (3, 5)])
+    def test_token_names_its_move(self, order, width):
+        arena = make_arena(uniform_tree(order, width))
+        for tok in arena.tokens:
+            assert tok in arena
+            assert arena.index(tok) == arena.index(parse_token(tok))
+
+    @pytest.mark.parametrize("bad", ["q@9", "x"])
+    def test_unknown_token(self, arrow_arena, bad):
+        assert bad not in arrow_arena
+        with pytest.raises(UnknownMoveError, match=f"move {bad} is not a move of this arena"):
+            arrow_arena.index(bad)
+
+
 # Fold-based construction: the arena of T1 -> ... -> Tk -> unit equals
 # arrow(arena(T1), arrow(arena(T2), ... arena(unit))), where arrow prefixes
 # argument paths with 1, shifts result argument paths up by one, reverses

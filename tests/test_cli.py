@@ -9,12 +9,12 @@ import pytest
 import playlab
 import playlab.experiment as exp
 from playlab.arena import make_arena, parse_type
-from playlab.cli import main
-from playlab.corpus import MAX_LEN, build_vocab, read_corpus
+from playlab.cli import _build_parser, main
+from playlab.corpus import MAX_LEN, PERTURB_RATIO, build_vocab, read_corpus
 from playlab.play import format_pointed
-from playlab.seqmodel import ModelConfig, load_model
+from playlab.seqmodel import ModelConfig, init_model, load_model, save_model
 
-from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY, TINY_SPEC
+from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY, TINY_SPEC, rewrite_config
 
 TWO_ARG = "unit -> unit -> unit"
 
@@ -124,6 +124,25 @@ class TestCheck:
         verdicts = {line.split(": ")[1] for line in lines}
         assert verdicts <= {"legal", "ambiguous"}
 
+    def test_arena_flag_is_for_pointed_files(self, tmp_path, capsys):
+        path = gen_corpus(tmp_path, arena="unit -> unit", count=5, seed=1)
+        assert main(["check", str(path), "--arena", "unit"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --arena is for pointed-play files; a corpus file names its arena\n"
+        )
+
+    @pytest.mark.parametrize("lang", ["seq", "conc"])
+    def test_tokens_are_looked_up_not_parsed(self, tmp_path, capsys, monkeypatch, lang):
+        path = gen_corpus(tmp_path, arena=TWO_ARG, lang=lang, count=12)
+        code = main(["check", str(path)])
+        before = code, capsys.readouterr()
+
+        def refuse(token):
+            raise AssertionError(f"parsed {token!r}")
+
+        monkeypatch.setattr(playlab.play, "parse_token", refuse)
+        assert (main(["check", str(path)]), capsys.readouterr()) == before
+
     def test_language_override(self, tmp_path, capsys):
         # sequential plays stay legal under the concurrent rules
         path = gen_corpus(tmp_path, arena=TWO_ARG, lang="seq", count=8)
@@ -201,6 +220,10 @@ class TestCheck:
 
 
 class TestPerturb:
+    def test_ratio_default_is_the_experiments(self):
+        args = _build_parser().parse_args(["perturb", "c.plays", "--seed", "1"])
+        assert args.ratio == PERTURB_RATIO == exp.PERTURB_RATIO
+
     def test_round_trip(self, tmp_path):
         src = gen_corpus(tmp_path, arena=TWO_ARG, count=15, max_len=20)
         out = tmp_path / "p.plays"
@@ -257,6 +280,16 @@ class TestTrainEval:
         other = gen_corpus(tmp_path, "o.plays", arena=TWO_ARG, count=5)
         assert main(["eval", "--model", str(model_path), "--corpus", str(other)]) == 1
         assert "does not match" in capsys.readouterr().err
+
+    def test_eval_non_integer_config_is_domain_error(self, tmp_path, capsys):
+        corpus_path = gen_corpus(tmp_path, count=5)
+        model_path = tmp_path / "m.model"
+        save_model(init_model(ModelConfig(vocab_size=3, embed_dim=4, hidden_dim=4)), model_path)
+        rewrite_config(model_path, embed_dim=4.0)
+        assert main(["eval", "--model", str(model_path), "--corpus", str(corpus_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad config block: embed_dim must be an integer, got 4.0\n"
+        )
 
     def test_defaults_come_from_model_config(self, tmp_path, capsys):
         corpus_path = gen_corpus(tmp_path, count=200, max_len=8)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import playlab.play
-from playlab.arena import make_arena, parse_token, parse_type, uniform_tree
+from playlab.arena import UnknownMoveError, make_arena, parse_token, parse_type, uniform_tree
+from playlab.corpus import generate_corpus
 from playlab.play import (
     ALTERNATION,
     BRACKETING,
@@ -10,6 +11,7 @@ from playlab.play import (
     FORK,
     JOIN,
     JUSTIFICATION,
+    LANGUAGES,
     SEQUENTIAL,
     VISIBILITY,
     IllegalPlayError,
@@ -448,6 +450,26 @@ class TestJustificationAssignments:
 
     def test_empty_tokens(self, unit_arena):
         assert justification_assignments(unit_arena, SEQUENTIAL, []) == [PointedPlay()]
+
+    @pytest.mark.parametrize("bad", ["q@9", "x"])
+    def test_unknown_token(self, arrow_arena, bad):
+        with pytest.raises(UnknownMoveError):
+            justification_assignments(arrow_arena, SEQUENTIAL, ["q@ε", bad])
+
+    def test_tokens_are_looked_up_not_parsed(self, two_arg_arena, monkeypatch):
+        corpora = [generate_corpus(two_arg_arena, lang, 12, 10, seed=4) for lang in LANGUAGES]
+
+        def reconstruct():
+            return [justification_assignments(two_arg_arena, c.language, seq[:-1])
+                    for c in corpora for seq in c.plays]
+
+        before = reconstruct()
+
+        def refuse(token):
+            raise AssertionError(f"parsed {token!r}")
+
+        monkeypatch.setattr(playlab.play, "parse_token", refuse)
+        assert reconstruct() == before
 
     def test_search_budget_exceeded(self, two_arg_arena, monkeypatch):
         tokens = [pm.move.token for pm in SEQ_COMPOSITION_PLAY]

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import json
 import math
 import tracemalloc
 
@@ -33,6 +32,7 @@ from playlab.seqmodel import (
 )
 from playlab.seqmodel import _forward
 
+from conftest import config_block, rewrite_config
 from oracles import scalar_lstm_step
 
 
@@ -502,35 +502,33 @@ class TestContainer:
         seqs = [np.array([1, 2, 3]), np.array([4, 0])]
         assert perplexity(load_model(path), seqs) == perplexity(model, seqs)
 
-    @staticmethod
-    def _config_block(data):
-        end = 16 + int.from_bytes(data[8:16], "little")
-        return json.loads(data[16:end]), end
-
     def test_records_the_recipe(self, tmp_path):
         config = tiny_config(epochs=6)
         path = tmp_path / "m.model"
         save_model(LstmModel(config), path)
-        recorded, _ = self._config_block(path.read_bytes())
+        recorded, _ = config_block(path.read_bytes())
         assert recorded["lr_schedule"] == [learning_rate(e) for e in range(1, 7)]
         assert recorded["max_grad_norm"] == MAX_GRAD_NORM == 5.0
         assert recorded["init_scale"] == INIT_SCALE == 0.1
 
     def test_loads_a_different_recorded_recipe(self, tmp_path):
-        # a container from when the recipe was settable, with a checksum to match
+        # a container from when the recipe was settable
         model = init_model(tiny_config())
         path = tmp_path / "m.model"
         save_model(model, path)
-        data = path.read_bytes()
-        recorded, end = self._config_block(data)
-        recorded.update(lr_schedule=[0.5, 0.25], max_grad_norm=1.0, init_scale=0.25)
-        blob = json.dumps(recorded, sort_keys=True).encode("utf-8")
-        body = data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:-32]
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        rewrite_config(path, lr_schedule=[0.5, 0.25], max_grad_norm=1.0, init_scale=0.25)
         back = load_model(path)
         assert back.config == model.config
         seqs = [np.array([1, 2, 3]), np.array([4, 0])]
         assert perplexity(back, seqs) == perplexity(model, seqs)
+
+    @pytest.mark.parametrize("field, value", [("embed_dim", 4.0), ("layers", True)])
+    def test_rejects_a_non_integer_config(self, tmp_path, field, value):
+        path = tmp_path / "m.model"
+        save_model(init_model(tiny_config()), path)
+        rewrite_config(path, **{field: value})
+        with pytest.raises(ModelFormatError, match=f"bad config block: {field} must be an integer"):
+            load_model(path)
 
     def _mangle(self, tmp_path, mutate):
         model = init_model(tiny_config())
