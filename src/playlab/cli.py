@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpus as corpuslib
@@ -17,6 +17,12 @@ from . import experiment as exp
 from . import play as playlib
 from . import seqmodel
 from .arena import UnknownMoveError, make_arena, parse_type
+
+# the ModelConfig fields `train` has a flag for: the corpus's arena fixes
+# vocab_size, and seed is a required flag
+TRAIN_FIELDS = [
+    f.name for f in fields(seqmodel.ModelConfig) if f.name not in ("vocab_size", "seed")
+]
 
 
 class CliError(Exception):
@@ -78,13 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--corpus", required=True)
     train.add_argument("--out", required=True, help="model container path")
     train.add_argument("--seed", type=int, required=True)
-    defaults = seqmodel.ModelConfig
-    train.add_argument("--embed-dim", type=_positive_int, default=defaults.embed_dim)
-    train.add_argument("--hidden-dim", type=_positive_int, default=defaults.hidden_dim)
-    train.add_argument("--layers", type=_positive_int, default=defaults.layers)
-    train.add_argument("--unroll", type=_positive_int, default=defaults.unroll)
-    train.add_argument("--batch", type=_positive_int, default=defaults.batch)
-    train.add_argument("--epochs", type=_positive_int, default=defaults.epochs)
+    for name in TRAIN_FIELDS:
+        train.add_argument(f"--{name.replace('_', '-')}", type=_positive_int,
+                           default=getattr(seqmodel.ModelConfig, name))
 
     ev = sub.add_parser("eval", help="perplexity of a model on a corpus")
     ev.add_argument("--model", required=True)
@@ -133,7 +135,7 @@ def _cmd_check(args) -> int:
         if args.arena is not None:
             raise CliError("--arena is for pointed-play files; a corpus file names its arena")
         corpus = corpuslib.read_corpus(args.file)
-        arena = make_arena(parse_type(corpus.arena_spec))
+        arena = corpus.arena
         lang = args.lang or corpus.language
         for i, seq in enumerate(corpus.plays, start=1):
             tokens = [t for t in seq if t != corpuslib.EOP]
@@ -151,8 +153,12 @@ def _cmd_check(args) -> int:
             raise CliError("pointed-play files need --arena and --lang")
         arena = make_arena(parse_type(args.arena))
         checker = playlib.checker_for(args.lang)
-        text = Path(args.file).read_text(encoding="utf-8")
-        for i, play in enumerate(playlib.parse_pointed_file(text), start=1):
+        plays = playlib.parse_pointed_file(Path(args.file).read_text(encoding="utf-8"))
+        for i, play in enumerate(plays, start=1):  # every move, before any verdict
+            for pm in play:
+                if pm.move not in arena:
+                    raise CliError(f"play {i}: {UnknownMoveError(pm.move)}")
+        for i, play in enumerate(plays, start=1):
             verdict = checker(arena, play)
             if verdict.legal:
                 print(f"play {i}: legal")
@@ -175,17 +181,9 @@ def _cmd_perturb(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus = corpuslib.read_corpus(args.corpus)
-    vocab = corpuslib.build_vocab(make_arena(parse_type(corpus.arena_spec)))
-    config = seqmodel.ModelConfig(
-        vocab_size=len(vocab),
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        layers=args.layers,
-        unroll=args.unroll,
-        batch=args.batch,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    vocab = corpuslib.build_vocab(corpus.arena)
+    sizes = {name: getattr(args, name) for name in TRAIN_FIELDS}
+    config = seqmodel.ModelConfig(vocab_size=len(vocab), seed=args.seed, **sizes)
     model = seqmodel.init_model(config)
     ids = vocab.encode(t for seq in corpus.plays for t in seq)
 
@@ -202,7 +200,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = seqmodel.load_model(args.model)
     corpus = corpuslib.read_corpus(args.corpus)
-    vocab = corpuslib.build_vocab(make_arena(parse_type(corpus.arena_spec)))
+    vocab = corpuslib.build_vocab(corpus.arena)
     if len(vocab) != model.config.vocab_size:
         raise CliError(
             f"model vocabulary size {model.config.vocab_size} does not match "

@@ -57,13 +57,18 @@ def build_vocab(arena: Arena) -> Vocab:
 
 @dataclass
 class Corpus:
-    arena_spec: str
+    arena_spec: str  # the header's type expression, kept as written
     language: str
     seed: int
     plays: list[TokenSeq] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.plays)
+
+    @property
+    def arena(self) -> Arena:
+        """The arena ``arena_spec`` names, built anew on each access."""
+        return make_arena(parse_type(self.arena_spec))
 
 
 def generate_play(
@@ -116,8 +121,6 @@ def generate_corpus(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if lang not in LANGUAGES:
-        raise ValueError(f"unknown language {lang!r}; expected one of {LANGUAGES}")
     plays = []
     for i in range(count):
         rng = substream(seed, i)
@@ -175,8 +178,8 @@ def read_corpus(path) -> Corpus:
         count = int(_header_value(lines[4], 5, "count"))
     except ValueError as e:
         raise CorpusFormatError(f"bad header number: {e}") from None
-    arena = make_arena(parse_type(spec))
-    plays = []
+    corpus = Corpus(spec, lang, seed)
+    arena = corpus.arena
     for lineno, line in enumerate(lines[5:], start=6):
         if not line.strip():
             continue
@@ -188,10 +191,10 @@ def read_corpus(path) -> Corpus:
                 )
         if seq.count(EOP) != 1 or seq[-1] != EOP:
             raise CorpusFormatError(f"line {lineno}: play must end with a single {EOP!r}")
-        plays.append(seq)
-    if len(plays) != count:
-        raise CorpusFormatError(f"header count {count} but {len(plays)} plays present")
-    return Corpus(spec, lang, seed, plays)
+        corpus.plays.append(seq)
+    if len(corpus) != count:
+        raise CorpusFormatError(f"header count {count} but {len(corpus)} plays present")
+    return corpus
 
 
 def _core(seq: TokenSeq) -> tuple[str, ...]:
@@ -251,12 +254,15 @@ def perturb_corpus(
     assignment makes it legal in the corpus language (checked by pointer
     reconstruction).
     """
-    arena = make_arena(parse_type(corpus.arena_spec))
+    arena = corpus.arena
     vocab = build_vocab(arena)
     out = []
     for i, seq in enumerate(corpus.plays):
         rng = substream(seed, i)
-        mutated = perturb(seq, vocab, ratio, rng)
+        try:
+            mutated = perturb(seq, vocab, ratio, rng)
+        except ValueError as e:  # an empty play (or a bad ratio, raised at play 0)
+            raise ValueError(f"play {i}: {e}") from None
         if require_illegal:
             for _ in range(MAX_ATTEMPTS):
                 try:

@@ -277,10 +277,7 @@ class _PlayState:
             if justifier >= 0:
                 self.open_children[justifier] += 1
         else:
-            if self.pending and self.pending[-1] == justifier:
-                self.pending.pop()
-            else:
-                self.pending.remove(justifier)
+            self.pending.remove(justifier)
             parent = self.occ_just[justifier]
             if parent >= 0:
                 self.open_children[parent] -= 1

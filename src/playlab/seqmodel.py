@@ -189,13 +189,6 @@ def step_cell(x, h, c, layer: LayerParams):
     return h2, c2
 
 
-def zero_state(config: ModelConfig, batch: int):
-    H = config.hidden_dim
-    return [
-        (np.zeros((batch, H)), np.zeros((batch, H))) for _ in range(config.layers)
-    ]
-
-
 @dataclass
 class _LayerRecord:
     """What one layer's forward pass keeps for backward, each value once."""
@@ -241,7 +234,8 @@ def _forward(model: LstmModel, ids, state, keep: bool):
         raise ValueError("token id out of range")
     B, T = ids.shape
     if state is None:
-        state = zero_state(config, B)
+        H = config.hidden_dim
+        state = [(np.zeros((B, H)), np.zeros((B, H))) for _ in range(config.layers)]
     x = model.embedding[ids]
     records = []
     new_state = []
@@ -378,7 +372,7 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
             f"corpus too small: need at least {B * (U + 1)} tokens, got {ids.size}"
         )
     streams = ids[: B * rows].reshape(B, rows)
-    state = zero_state(config, B)
+    state = None
     log = []
     for w in range(windows):
         lo = w * U

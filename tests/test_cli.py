@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -208,6 +209,14 @@ class TestCheck:
         assert main(["check", str(pointed), "--arena", TWO_ARG, "--lang", "seq"]) == 1
         assert capsys.readouterr().err == "legal=1 illegal=1 ambiguous=0\n"
 
+    def test_pointed_move_outside_arena_stops_before_any_verdict(self, tmp_path, capsys):
+        path = tmp_path / "plays.txt"
+        path.write_text("q@ε 0 *\na@ε 1 0\n\nq@ε 0 *\nq@9 1 0\n", encoding="utf-8")
+        assert main(["check", str(path), "--arena", "unit -> unit", "--lang", "seq"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: play 2: move q@9 is not a move of this arena\n"
+
     def test_pointed_file_needs_arena_and_lang(self, tmp_path, capsys):
         path = tmp_path / "plays.txt"
         path.write_text(format_pointed(SEQ_COMPOSITION_PLAY) + "\n", encoding="utf-8")
@@ -240,6 +249,30 @@ class TestPerturb:
         first = capsys.readouterr().out
         assert main(["perturb", str(src), "--seed", "2"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_header_kept_as_written(self, tmp_path, capsys):
+        src = tmp_path / "c.plays"
+        src.write_text(
+            "#version 1\n#arena unit->unit\n#language seq\n#seed 0\n#count 2\n"
+            "q@ε q@1 a@1 a@ε $\nq@ε a@ε $\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "p.plays"
+        assert main(["perturb", str(src), "--seed", "2", "--out", str(out)]) == 0
+        assert out.read_bytes().splitlines()[1] == b"#arena unit->unit"
+        main(["check", str(out)])
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert sum(int(kv.split("=")[1]) for kv in captured.err.split()) == 2
+
+    def test_empty_play_is_named(self, tmp_path, capsys):
+        src = tmp_path / "c.plays"
+        src.write_text(
+            "#version 1\n#arena unit\n#language seq\n#seed 0\n#count 2\nq@ε a@ε $\n$\n",
+            encoding="utf-8",
+        )
+        assert main(["perturb", str(src), "--seed", "2"]) == 1
+        assert capsys.readouterr().err == "error: play 1: cannot perturb an empty sequence\n"
 
     def test_require_illegal_fails_check(self, tmp_path, capsys):
         src = gen_corpus(tmp_path, arena=TWO_ARG, count=10, max_len=20)
@@ -350,6 +383,17 @@ class TestTrainEval:
         one_line = r"error: [^\n]* (at|after) window \d+[^\n]*\n"
         assert re.fullmatch(one_line, result.stderr), result.stderr
         assert not (tmp_path / "m.model").exists()
+
+    def test_size_flags_are_the_model_config_fields(self):
+        settable = [f for f in dataclasses.fields(ModelConfig)
+                    if f.name not in ("vocab_size", "seed")]
+        required = ["train", "--corpus", "c.plays", "--out", "m.model", "--seed", "1"]
+        args = vars(_build_parser().parse_args(required))
+        assert set(args) - {"command", "corpus", "out", "seed"} == {f.name for f in settable}
+        for f in settable:
+            assert args[f.name] == f.default
+            flag = "--" + f.name.replace("_", "-")
+            assert getattr(_build_parser().parse_args([*required, flag, "3"]), f.name) == 3
 
     def test_help_lists_the_flags(self, capsys):
         assert main(["train", "--help"]) == 0

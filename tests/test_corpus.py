@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +116,14 @@ class TestGenerateCorpus:
             generate_corpus(unit_arena, SEQUENTIAL, 0, 10, seed=0)
         with pytest.raises(ValueError):
             generate_corpus(unit_arena, "parallel", 1, 10, seed=0)
+
+    def test_unknown_language_is_the_play_states_error(self, unit_arena):
+        with pytest.raises(ValueError) as raised:
+            generate_corpus(unit_arena, "x", 3, 5, 0)
+        assert str(raised.value) == "unknown language 'x'; expected one of ('seq', 'conc')"
+        # raised by _PlayState, the one place that checks the language
+        last = raised.traceback[-1]
+        assert (last.name, Path(last.path).name) == ("__init__", "play.py")
 
     def test_complete_only(self):
         arena = make_arena(uniform_tree(2, 2))

@@ -28,7 +28,6 @@ from playlab.seqmodel import (
     sgd_epoch,
     step_cell,
     train_model,
-    zero_state,
 )
 from playlab.seqmodel import _forward
 
