@@ -130,24 +130,12 @@ def _is_corpus_file(path: str) -> bool:
 
 
 def _cmd_check(args) -> int:
-    counts = dict.fromkeys(("legal", "illegal", "ambiguous"), 0)
     if _is_corpus_file(args.file):
         if args.arena is not None:
             raise CliError("--arena is for pointed-play files; a corpus file names its arena")
         corpus = corpuslib.read_corpus(args.file)
-        arena = corpus.arena
-        lang = args.lang or corpus.language
-        for i, seq in enumerate(corpus.plays, start=1):
-            tokens = [t for t in seq if t != corpuslib.EOP]
-            try:
-                found = playlib.justification_assignments(arena, lang, tokens, limit=2)
-            except playlib.SearchBudgetExceeded:
-                print(f"play {i}: ambiguous (search budget exceeded)")
-                counts["ambiguous"] += 1
-                continue
-            verdict = "illegal" if not found else "ambiguous" if len(found) > 1 else "legal"
-            print(f"play {i}: {verdict}")
-            counts[verdict] += 1
+        arena, lang = corpus.arena, args.lang or corpus.language
+        verdicts = (playlib.reconstruction_verdict(arena, lang, seq[:-1]) for seq in corpus.plays)
     else:
         if not args.arena or not args.lang:
             raise CliError("pointed-play files need --arena and --lang")
@@ -158,16 +146,13 @@ def _cmd_check(args) -> int:
             for pm in play:
                 if pm.move not in arena:
                     raise CliError(f"play {i}: {UnknownMoveError(pm.move)}")
-        for i, play in enumerate(plays, start=1):
-            verdict = checker(arena, play)
-            if verdict.legal:
-                print(f"play {i}: legal")
-                counts["legal"] += 1
-            else:
-                print(f"play {i}: illegal {verdict.rule} at {verdict.index}")
-                counts["illegal"] += 1
+        verdicts = (checker(arena, play) for play in plays)
+    counts = dict.fromkeys(playlib.VERDICTS, 0)
+    for i, verdict in enumerate(verdicts, start=1):  # each printed as soon as it is found
+        print(f"play {i}: {verdict}")
+        counts[str(verdict).split()[0]] += 1
     print(" ".join(f"{k}={n}" for k, n in counts.items()), file=sys.stderr)
-    return 1 if counts["illegal"] or counts["ambiguous"] else 0
+    return 0 if counts[playlib.LEGAL] == sum(counts.values()) else 1
 
 
 def _cmd_perturb(args) -> int:
@@ -272,7 +257,6 @@ def main(argv=None) -> int:
         CliError,
         ValueError,  # covers TypeSyntaxError, CorpusFormatError, ModelFormatError, ...
         UnknownMoveError,
-        playlib.SearchBudgetExceeded,
         OSError,
         ArithmeticError,  # FloatingPointError when training diverges
     ) as e:

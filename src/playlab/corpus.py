@@ -15,8 +15,8 @@ import numpy as np
 
 from .arena import Arena, make_arena, parse_type, render_type
 from .fileio import write_atomic
-from .play import (LANGUAGES, PointedPlay, SearchBudgetExceeded, _PlayState,
-                   justification_assignments, pending_questions)
+from .play import (ILLEGAL, LANGUAGES, PointedPlay, _PlayState, pending_questions,
+                   reconstruction_verdict)
 from .rng import substream
 
 EOP = "$"
@@ -116,8 +116,8 @@ def generate_corpus(
     """``count`` independent plays; play i is drawn from substream (seed, i).
 
     With ``complete_only`` each substream re-rolls until the play has no
-    pending questions (sequential plays always complete, so this only ever
-    re-rolls concurrent ones).
+    pending questions.  Plays of either language can stop at ``max_len``
+    with questions pending, sequential ones too (most seq o2w5 plays do).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -250,9 +250,10 @@ def perturb_corpus(
 ) -> Corpus:
     """Perturb every play in the corpus's arena, one substream per play index.
 
-    With ``require_illegal`` each play is re-rolled until no justification
-    assignment makes it legal in the corpus language (checked by pointer
-    reconstruction).
+    With ``require_illegal`` each play is re-rolled until its pointer
+    reconstruction finds it ``illegal`` in the corpus language; a search
+    that gives up has not shown that, so it re-rolls too.  Errors name a
+    play by its 1-based number, as ``check`` does.
     """
     arena = corpus.arena
     vocab = build_vocab(arena)
@@ -261,19 +262,15 @@ def perturb_corpus(
         rng = substream(seed, i)
         try:
             mutated = perturb(seq, vocab, ratio, rng)
-        except ValueError as e:  # an empty play (or a bad ratio, raised at play 0)
-            raise ValueError(f"play {i}: {e}") from None
+        except ValueError as e:  # an empty play (or a bad ratio, raised at play 1)
+            raise ValueError(f"play {i + 1}: {e}") from None
         if require_illegal:
             for _ in range(MAX_ATTEMPTS):
-                try:
-                    if not justification_assignments(
-                        arena, corpus.language, _core(mutated), limit=1
-                    ):
-                        break
-                except SearchBudgetExceeded:
-                    pass  # not shown illegal, as `check` calls it ambiguous: re-roll
+                verdict = reconstruction_verdict(arena, corpus.language, _core(mutated), limit=1)
+                if verdict == ILLEGAL:
+                    break
                 mutated = perturb(seq, vocab, ratio, rng)
             else:
-                raise ValueError(f"play {i}: no illegal perturbation in {MAX_ATTEMPTS} tries")
+                raise ValueError(f"play {i + 1}: no illegal perturbation in {MAX_ATTEMPTS} tries")
         out.append(mutated)
     return Corpus(corpus.arena_spec, corpus.language, seed, out)

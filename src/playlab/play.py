@@ -25,7 +25,8 @@ builds the same legal moves constructively, walking only the mover's view,
 for the generator and the pointer search, which ``push`` and ``pop`` one
 state.  Views (Hyland and Ong) are walked by ``_view_positions``, for the
 state and for ``pview``/``oview`` alike.  Fork and join follow Ghica and
-Murawski's concurrent plays.
+Murawski's concurrent plays.  ``reconstruction_verdict`` is the one reading
+of a search's outcome, for ``check`` and ``perturb --require-illegal``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ FORK = "fork"
 JOIN = "join"
 
 SEARCH_BUDGET = 1_000_000  # extensions the pointer search explores before giving up
+VERDICTS = LEGAL, ILLEGAL, AMBIGUOUS = ("legal", "illegal", "ambiguous")  # `check`'s words
 
 
 class IllegalPlayError(ValueError):
@@ -94,6 +96,9 @@ class Verdict:
     @staticmethod
     def fail(rule: str, index: int) -> "Verdict":
         return Verdict(False, rule, index)
+
+    def __str__(self) -> str:
+        return LEGAL if self.legal else f"{ILLEGAL} {self.rule} at {self.index}"
 
 
 @dataclass(frozen=True)
@@ -448,3 +453,16 @@ def justification_assignments(
         if spent > SEARCH_BUDGET:
             raise SearchBudgetExceeded(f"more than {SEARCH_BUDGET} extensions explored")
         state.push(*choice)
+
+
+def reconstruction_verdict(arena: Arena, lang: str, tokens, limit: int = 2) -> str:
+    """What ``check`` says of a bare token sequence: ``illegal`` if no
+    pointer reconstruction is legal, ``legal`` if one is, ``ambiguous`` if
+    ``limit`` (at least 2) are, and ``ambiguous (search budget exceeded)``
+    if the search gives up first.  With ``limit=1``, ``legal`` means at
+    least one."""
+    try:
+        found = justification_assignments(arena, lang, tokens, limit=limit)
+    except SearchBudgetExceeded:
+        return f"{AMBIGUOUS} (search budget exceeded)"
+    return ILLEGAL if not found else LEGAL if len(found) == 1 else AMBIGUOUS

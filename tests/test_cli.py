@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import os
 import re
 import subprocess
@@ -115,6 +117,22 @@ class TestCheck:
             f"play {i}: ambiguous (search budget exceeded)" for i in range(1, 5)
         ]
         assert captured.err == "legal=0 illegal=0 ambiguous=4\n"
+
+    def test_each_verdict_is_written_before_the_next_search(self, tmp_path, monkeypatch):
+        path = gen_corpus(tmp_path, arena=TWO_ARG, lang="conc", count=6)
+        search = playlab.play.justification_assignments
+        out = io.StringIO()
+        lines_at_search = []
+
+        def counting_search(*args, **kwargs):
+            lines_at_search.append(out.getvalue().count("\n"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(playlab.play, "justification_assignments", counting_search)
+        with contextlib.redirect_stdout(out):
+            main(["check", str(path)])
+        assert lines_at_search == [0, 1, 2, 3, 4, 5]
+        assert out.getvalue().count("\n") == 6
 
     def test_generated_conc_corpus_never_illegal(self, tmp_path, capsys):
         # elision can make pointers ambiguous, but some reconstruction exists
@@ -272,7 +290,7 @@ class TestPerturb:
             encoding="utf-8",
         )
         assert main(["perturb", str(src), "--seed", "2"]) == 1
-        assert capsys.readouterr().err == "error: play 1: cannot perturb an empty sequence\n"
+        assert capsys.readouterr().err == "error: play 2: cannot perturb an empty sequence\n"
 
     def test_require_illegal_fails_check(self, tmp_path, capsys):
         src = gen_corpus(tmp_path, arena=TWO_ARG, count=10, max_len=20)

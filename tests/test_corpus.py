@@ -133,6 +133,19 @@ class TestGenerateCorpus:
             plays = justification_assignments(arena, CONCURRENT, tokens, limit=1)
             assert plays and is_complete(plays[0])
 
+    def test_complete_only_seq(self):
+        # most seq o2w5 plays reach max_len with questions still pending
+        arena = make_arena(uniform_tree(2, 5))
+
+        def complete(seq):
+            plays = justification_assignments(arena, SEQUENTIAL, seq[:-1], limit=1)
+            return is_complete(plays[0])
+
+        plain = generate_corpus(arena, SEQUENTIAL, 20, 50, seed=3)
+        assert not all(complete(seq) for seq in plain.plays)
+        only = generate_corpus(arena, SEQUENTIAL, 20, 50, seed=3, complete_only=True)
+        assert all(complete(seq) for seq in only.plays)
+
     def test_coverage_of_short_plays(self, arrow_arena):
         # every legal sequential play of length <= 3 shows up as a prefix
         from oracles import enumerate_ref_legal, ref_check_sequential
@@ -310,5 +323,5 @@ class TestPerturbCorpus:
         monkeypatch.setattr(playlab.play, "SEARCH_BUDGET", 1)
         monkeypatch.setattr(playlab.corpus, "MAX_ATTEMPTS", 3)
         corpus = generate_corpus(order2_arena, SEQUENTIAL, 1, 50, seed=0)
-        with pytest.raises(ValueError, match="play 0: no illegal perturbation in 3 tries"):
+        with pytest.raises(ValueError, match="play 1: no illegal perturbation in 3 tries"):
             perturb_corpus(corpus, 0.1, seed=9, require_illegal=True)

@@ -32,6 +32,7 @@ from playlab.play import (
     parse_pointed_file,
     pending_questions,
     pview,
+    reconstruction_verdict,
 )
 
 from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY
@@ -480,3 +481,38 @@ class TestJustificationAssignments:
         assert justification_assignments(two_arg_arena, SEQUENTIAL, tokens) == [
             SEQ_COMPOSITION_PLAY
         ]
+
+
+class TestReconstructionVerdict:
+    DUPLICATE_QUESTIONS = ["q@ε", "q@1", "q@1", "a@1", "a@1", "a@ε"]
+
+    def test_verdicts(self, arrow_arena, two_arg_arena):
+        seq_tokens = [pm.move.token for pm in SEQ_COMPOSITION_PLAY]
+        par_tokens = [pm.move.token for pm in PAR_COMPOSITION_PLAY]
+        assert reconstruction_verdict(two_arg_arena, SEQUENTIAL, seq_tokens) == "legal"
+        assert reconstruction_verdict(two_arg_arena, SEQUENTIAL, par_tokens) == "illegal"
+        assert reconstruction_verdict(
+            arrow_arena, CONCURRENT, self.DUPLICATE_QUESTIONS
+        ) == "ambiguous"
+
+    def test_search_budget_exceeded(self, two_arg_arena, monkeypatch):
+        tokens = [pm.move.token for pm in SEQ_COMPOSITION_PLAY]
+        monkeypatch.setattr(playlab.play, "SEARCH_BUDGET", 1)
+        assert reconstruction_verdict(two_arg_arena, SEQUENTIAL, tokens) == (
+            "ambiguous (search budget exceeded)"
+        )
+
+    def test_limit_one_is_never_ambiguous(self, arrow_arena, two_arg_arena):
+        assert reconstruction_verdict(
+            arrow_arena, CONCURRENT, self.DUPLICATE_QUESTIONS, limit=1
+        ) == "legal"
+        plays = generate_corpus(two_arg_arena, CONCURRENT, 40, 12, seed=6).plays
+        at_two = [reconstruction_verdict(two_arg_arena, CONCURRENT, seq[:-1]) for seq in plays]
+        at_one = [reconstruction_verdict(two_arg_arena, CONCURRENT, seq[:-1], limit=1)
+                  for seq in plays]
+        assert "ambiguous" in at_two
+        assert at_one == ["legal" if v == "ambiguous" else v for v in at_two]
+
+    def test_checker_verdict_reads_as_check_prints_it(self):
+        assert str(Verdict.ok()) == "legal"
+        assert str(Verdict.fail(FORK, 3)) == "illegal fork at 3"
