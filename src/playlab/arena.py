@@ -14,6 +14,7 @@ and the root question is the unique initial move.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 OPPONENT = "O"
 PROPONENT = "P"
@@ -166,7 +167,7 @@ class MoveId:
     path: Path
     kind: str  # QUESTION or ANSWER
 
-    @property
+    @cached_property
     def token(self) -> str:
         suffix = ".".join(str(i) for i in self.path) if self.path else "ε"
         return f"{self.kind}@{suffix}"

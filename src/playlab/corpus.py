@@ -179,16 +179,14 @@ def read_corpus(path) -> Corpus:
     except ValueError as e:
         raise CorpusFormatError(f"bad header number: {e}") from None
     corpus = Corpus(spec, lang, seed)
-    arena = corpus.arena
+    known = frozenset(Vocab(corpus.arena).tokens)
     for lineno, line in enumerate(lines[5:], start=6):
         if not line.strip():
             continue
         seq = tuple(line.split())
-        for tok in seq:
-            if tok != EOP and tok not in arena:
-                raise CorpusFormatError(
-                    f"line {lineno}: token {tok!r} outside arena vocabulary"
-                )
+        if not known.issuperset(seq):
+            tok = next(t for t in seq if t not in known)
+            raise CorpusFormatError(f"line {lineno}: token {tok!r} outside arena vocabulary")
         if seq.count(EOP) != 1 or seq[-1] != EOP:
             raise CorpusFormatError(f"line {lineno}: play must end with a single {EOP!r}")
         corpus.plays.append(seq)

@@ -21,12 +21,16 @@ reporting the first rule the move breaks:
 ``_replay`` maps names to occurrences and checks justification, then asks
 ``_PlayState.violation`` for the language's rules before each ``push``; the
 checkers and ``legal_extensions`` are replays.  ``_PlayState.extensions``
-builds the same legal moves constructively, walking only the mover's view,
-for the generator and the pointer search, which ``push`` and ``pop`` one
-state.  Views (Hyland and Ong) are walked by ``_view_positions``, for the
-state and for ``pview``/``oview`` alike.  Fork and join follow Ghica and
-Murawski's concurrent plays.  ``reconstruction_verdict`` is the one reading
-of a search's outcome, for ``check`` and ``perturb --require-illegal``.
+builds the same legal moves constructively, for the generator, and
+``_PlayState.justifiers`` those of one move, for the pointer search; both
+``push`` and ``pop`` one state.  A sequential state keeps the next mover's
+view (Hyland and Ong) of each prefix, one tuple built from its justifier's
+in ``push``, so no rule walks the play; ``_view_positions`` walks a view
+only for ``pview``/``oview``.  Fork and join follow Ghica and Murawski's
+concurrent plays.  The concurrent pointer search remembers dead states by
+their pending forest up to isomorphism (the AHU canonical form; Aho,
+Hopcroft and Ullman).  ``reconstruction_verdict`` is the one reading of a
+search's outcome, for ``check`` and ``perturb --require-illegal``.
 """
 
 from __future__ import annotations
@@ -227,11 +231,13 @@ class _PlayState:
 
     Occurrences are integers 0..n-1 (also their names); a justifier is an
     occurrence, -1 for the opener.  ``violation`` says whether a move may be
-    appended and ``extensions`` lists every move that may.  ``push`` appends
-    a move without re-validating it; ``pop`` undoes the last ``push``.
+    appended, ``extensions`` lists every move that may and ``justifiers``
+    every way one move may.  ``push`` appends a move without re-validating
+    it; ``pop`` undoes the last ``push``.
     """
 
-    __slots__ = ("arena", "lang", "occ_move", "occ_player", "occ_just", "pending", "open_children")
+    __slots__ = ("arena", "lang", "occ_move", "occ_player", "occ_just", "pending", "open_children",
+                 "views")
 
     def __init__(self, arena: Arena, lang: str):
         if lang not in LANGUAGES:
@@ -243,6 +249,10 @@ class _PlayState:
         self.occ_just: list[int] = []  # justifier occurrence, -1 for the opener
         self.pending: list[int] = []  # unanswered question occurrences, oldest first
         self.open_children: list[int] = []  # unanswered questions spawned per occurrence
+        # seq only: views[n] is the next mover's view of the first n moves,
+        # positions right to left.  The plays a state holds alternate, so the
+        # last move is the other player's and the view jumps to its justifier
+        self.views: list[tuple[int, ...]] = [()]
 
     def __len__(self) -> int:
         return len(self.occ_move)
@@ -260,9 +270,8 @@ class _PlayState:
             if not arena.is_question[move_idx]:
                 if not self.pending or self.pending[-1] != justifier:
                     return BRACKETING
-            if justifier >= 0:
-                if justifier not in _view_positions(self.occ_player, self.occ_just, player):
-                    return VISIBILITY
+            if justifier >= 0 and justifier not in self.views[-1]:
+                return VISIBILITY
         else:
             if justifier >= 0 and justifier not in self.pending:
                 return FORK
@@ -286,6 +295,8 @@ class _PlayState:
             parent = self.occ_just[justifier]
             if parent >= 0:
                 self.open_children[parent] -= 1
+        if self.lang == SEQUENTIAL:
+            self.views.append((k, justifier) + self.views[justifier] if justifier >= 0 else (k,))
 
     def pop(self) -> None:
         """Undo the last ``push``.  ``pending`` is kept in occurrence order,
@@ -294,6 +305,8 @@ class _PlayState:
         self.occ_player.pop()
         justifier = self.occ_just.pop()
         self.open_children.pop()
+        if self.lang == SEQUENTIAL:
+            self.views.pop()
         if self.arena.is_question[move_idx]:
             self.pending.pop()
             if justifier >= 0:
@@ -312,17 +325,16 @@ class _PlayState:
             return [(arena.initial_idx, -1)]
         exts: list[tuple[int, int]] = []
         if self.lang == SEQUENTIAL:
-            mover = PROPONENT if self.occ_player[-1] == OPPONENT else OPPONENT
-            view = _view_positions(self.occ_player, self.occ_just, mover)
+            occ_player, occ_move = self.occ_player, self.occ_move
+            mover = PROPONENT if occ_player[-1] == OPPONENT else OPPONENT
+            view = self.views[-1]
             for occ in view:
-                mi = self.occ_move[occ]
-                if arena.is_question[mi]:
-                    for child in arena.child_questions[mi]:
-                        if arena.player[child] == mover:
-                            exts.append((child, occ))
+                if occ_player[occ] != mover:  # a move's child questions are the other player's
+                    for child in arena.child_questions[occ_move[occ]]:
+                        exts.append((child, occ))
             if self.pending:
                 occ = self.pending[-1]
-                answer = arena.answer_of[self.occ_move[occ]]
+                answer = arena.answer_of[occ_move[occ]]
                 if arena.player[answer] == mover and occ in view:
                     exts.append((answer, occ))
         else:
@@ -334,6 +346,44 @@ class _PlayState:
                     exts.append((arena.answer_of[mi], occ))
         exts.sort()
         return exts
+
+    def justifiers(self, move_idx: int) -> list[tuple[int, int]]:
+        """The pairs of ``extensions()`` whose move is ``move_idx``, in the
+        same order, built from that move's enabler alone."""
+        arena = self.arena
+        if not self.occ_move:
+            return [(move_idx, -1)] if move_idx == arena.initial_idx else []
+        enabler = arena.enabler_idx[move_idx]
+        occ_move = self.occ_move
+        if self.lang == SEQUENTIAL:
+            if arena.player[move_idx] == self.occ_player[-1]:
+                return []
+            view = self.views[-1]
+            if arena.is_question[move_idx]:
+                return [(move_idx, occ) for occ in reversed(view) if occ_move[occ] == enabler]
+            pending = self.pending
+            if pending and occ_move[pending[-1]] == enabler and pending[-1] in view:
+                return [(move_idx, pending[-1])]
+            return []
+        if arena.is_question[move_idx]:
+            return [(move_idx, occ) for occ in self.pending if occ_move[occ] == enabler]
+        open_children = self.open_children
+        return [
+            (move_idx, occ)
+            for occ in self.pending
+            if occ_move[occ] == enabler and open_children[occ] == 0
+        ]
+
+    def pending_forest(self) -> tuple:
+        """The pending questions as a forest labelled by move, in canonical
+        form (AHU): a node is its move and the sorted forms of its pending
+        children, so isomorphic forests, and only they, are equal."""
+        occ_move, occ_just = self.occ_move, self.occ_just
+        children: dict[int, list] = {}
+        for occ in reversed(self.pending):  # each child before its parent
+            form = (occ_move[occ], tuple(sorted(children.pop(occ, ()))))
+            children.setdefault(occ_just[occ], []).append(form)
+        return tuple(sorted(form for forms in children.values() for form in forms))
 
     def to_play(self) -> PointedPlay:
         moves = self.arena.moves
@@ -422,8 +472,13 @@ def justification_assignments(
     ``limit``) of assigning justifiers so the result is legal in ``lang``.
 
     Token order is kept; the search walks legal extensions only, so every
-    returned play is legal by construction.  Raises SearchBudgetExceeded
-    once it has explored more than ``SEARCH_BUDGET`` extensions.
+    returned play is legal by construction.  In ``conc`` the rest of a play
+    depends only on the token reached and the pending forest, so a state
+    whose subtree added no result is remembered by those and not searched
+    again.  Only states with two or more choices are keyed: a forced or
+    dead-ended token costs less to search again than to key.  Raises
+    SearchBudgetExceeded once it has explored more than ``SEARCH_BUDGET``
+    extensions.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -431,7 +486,10 @@ def justification_assignments(
     results: list[PointedPlay] = []
     spent = 0
     state = _PlayState(arena, lang)
+    memo = lang == CONCURRENT
+    dead = set()  # conc: (token, pending forest) of states that led to no result
     untried = []  # untried[k]: legal (move, justifier) choices for token k not yet tried
+    entered = []  # entered[k]: token k's memo key (or None), and the result count on reaching it
     while True:  # the state holds one move per entry of untried
         k = len(untried)
         if k == len(want):
@@ -439,7 +497,10 @@ def justification_assignments(
             if len(results) >= limit:
                 return results
         else:
-            untried.append(iter([e for e in state.extensions() if e[0] == want[k]]))
+            choices = state.justifiers(want[k])
+            key = (k, state.pending_forest()) if memo and len(choices) > 1 else None
+            untried.append(iter(() if key in dead else choices))
+            entered.append((key, len(results)))
         while untried:  # backtrack to the deepest token with a choice left
             if len(state) == len(untried):
                 state.pop()
@@ -447,6 +508,9 @@ def justification_assignments(
             if choice is not None:
                 break
             untried.pop()
+            key, found = entered.pop()
+            if key is not None and found == len(results):
+                dead.add(key)
         else:
             return results
         spent += 1

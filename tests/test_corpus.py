@@ -215,6 +215,16 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError, match=r"line 6.*'zap'"):
             read_corpus(path)
 
+    def test_first_unknown_token_is_named(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "#version 1\n#arena unit\n#language seq\n#seed 0\n#count 2\n"
+            "q@ε a@ε $\nq@ε q@1 zap a@ε $\n",
+        )
+        with pytest.raises(CorpusFormatError) as err:
+            read_corpus(path)
+        assert str(err.value) == "line 7: token 'q@1' outside arena vocabulary"
+
     def test_version_mismatch(self, tmp_path):
         path = self._write(tmp_path, "#version 2\n#arena unit\n")
         with pytest.raises(CorpusFormatError, match="version"):

@@ -1,9 +1,22 @@
+import itertools
+from collections import Counter, defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import playlab.play
-from playlab.arena import UnknownMoveError, make_arena, parse_token, parse_type, uniform_tree
-from playlab.corpus import generate_corpus
+from playlab.arena import (
+    OPPONENT,
+    PROPONENT,
+    UnknownMoveError,
+    enabler_of,
+    make_arena,
+    move_player,
+    parse_token,
+    parse_type,
+    uniform_tree,
+)
+from playlab.corpus import generate_corpus, perturb_corpus
 from playlab.play import (
     ALTERNATION,
     BRACKETING,
@@ -357,6 +370,43 @@ class TestPlayState:
                 state.pop()
                 assert fields(state) == before
 
+    @pytest.mark.parametrize("spec", SMALL_ARENAS)
+    @pytest.mark.parametrize("lang", [SEQUENTIAL, CONCURRENT])
+    def test_justifiers_are_the_extensions_of_one_move(self, spec, lang):
+        arena = make_arena(parse_type(spec))
+        ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
+        for play in enumerate_ref_legal(arena, ref, 6):
+            state = replayed_state(arena, lang, play)
+            exts = state.extensions()
+            for mi in range(len(arena)):
+                assert state.justifiers(mi) == [e for e in exts if e[0] == mi]
+
+    @pytest.mark.parametrize("spec", SMALL_ARENAS)
+    def test_stored_view_is_the_next_movers_view(self, spec):
+        arena = make_arena(parse_type(spec))
+        for play in enumerate_ref_legal(arena, ref_check_sequential, 6):
+            state = replayed_state(arena, SEQUENTIAL, play)
+            last = play.items[-1].move if play.items else None
+            mover = PROPONENT if last and move_player(last) == OPPONENT else OPPONENT
+            view = ref_pview(play) if mover == PROPONENT else ref_oview(play)
+            assert state.views[-1] == tuple(pm.name for pm in reversed(view.items))
+
+    def test_pending_forest_is_canonical(self, two_arg_arena):
+        # q@1 forked twice and q@2 once under the opener, in either order
+        one = replayed_state(two_arg_arena, CONCURRENT,
+                             play_of(("q@ε", None), ("q@1", 0), ("q@2", 0), ("q@1", 0)))
+        other = replayed_state(two_arg_arena, CONCURRENT,
+                               play_of(("q@ε", None), ("q@2", 0), ("q@1", 0), ("q@1", 0)))
+        assert one.pending_forest() == other.pending_forest()
+        one.push(two_arg_arena.index("a@1"), 1)
+        assert one.pending_forest() != other.pending_forest()
+        other.push(two_arg_arena.index("a@1"), 3)
+        assert one.pending_forest() == other.pending_forest()
+        # the same shape with other moves is another forest
+        asked = [replayed_state(two_arg_arena, CONCURRENT, play_of(("q@ε", None), (q, 0)))
+                 for q in ("q@1", "q@2")]
+        assert asked[0].pending_forest() != asked[1].pending_forest()
+
 
 class TestRandomPlays:
     @settings(max_examples=60, deadline=None)
@@ -472,6 +522,26 @@ class TestJustificationAssignments:
         monkeypatch.setattr(playlab.play, "parse_token", refuse)
         assert reconstruct() == before
 
+    @pytest.mark.parametrize("spec", SMALL_ARENAS)
+    @pytest.mark.parametrize("lang", [SEQUENTIAL, CONCURRENT])
+    def test_matches_oracle_exhaustively(self, spec, lang):
+        # every elision of a justified sequence to length 8: the search finds
+        # exactly the reference-legal plays with that elision, each once, in
+        # the order of their justifier sequences
+        arena = make_arena(parse_type(spec))
+        ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
+        legal = defaultdict(list)
+        for play in enumerate_ref_legal(arena, ref, 8):
+            legal[tuple(pm.move.token for pm in play)].append(play)
+        elisions = {tuple(pm.move.token for pm in play) for play in enumerate_justified(arena, 8)}
+        for tokens in elisions:
+            expect = sorted(legal.get(tokens, []),
+                            key=lambda p: [-1 if pm.justifier is None else pm.justifier for pm in p])
+            found = justification_assignments(arena, lang, tokens, limit=10**6)
+            assert len(found) == len(set(found))
+            assert set(found) == set(expect)
+            assert justification_assignments(arena, lang, tokens, limit=2) == expect[:2]
+
     def test_search_budget_exceeded(self, two_arg_arena, monkeypatch):
         tokens = [pm.move.token for pm in SEQ_COMPOSITION_PLAY]
         monkeypatch.setattr(playlab.play, "SEARCH_BUDGET", len(tokens) - 1)
@@ -516,3 +586,66 @@ class TestReconstructionVerdict:
     def test_checker_verdict_reads_as_check_prints_it(self):
         assert str(Verdict.ok()) == "legal"
         assert str(Verdict.fail(FORK, 3)) == "illegal fork at 3"
+
+
+class TestDeadStateMemo:
+    """The conc search remembers dead states.  The probe corpora are
+    perturbed conc plays on which a search without the memo exhausted
+    ``SEARCH_BUDGET`` once per arena (o1w5 and o2w5)."""
+
+    @staticmethod
+    def probe_plays(order):
+        arena = make_arena(uniform_tree(order, 5))
+        corpus = perturb_corpus(generate_corpus(arena, CONCURRENT, 30, 50, 7), 0.1, 8)
+        return arena, [seq[:-1] for seq in corpus.plays]
+
+    @pytest.mark.parametrize("order, counts", [
+        (1, {"illegal": 24, "ambiguous": 4, "legal": 2}),
+        (2, {"illegal": 28, "legal": 2}),
+    ])
+    def test_probe_corpora_are_decided(self, order, counts):
+        arena, plays = self.probe_plays(order)
+        verdicts = [reconstruction_verdict(arena, CONCURRENT, tokens) for tokens in plays]
+        assert "ambiguous (search budget exceeded)" not in verdicts
+        assert Counter(verdicts) == counts
+
+    def test_budget_play_is_decided_within_a_small_budget(self, monkeypatch):
+        # play 30 of the o1w5 probe ran past 1,000,000 extensions unmemoised
+        arena, plays = self.probe_plays(1)
+        monkeypatch.setattr(playlab.play, "SEARCH_BUDGET", 10_000)
+        assert reconstruction_verdict(arena, CONCURRENT, plays[29]) == "illegal"
+
+    def test_seq_is_not_memoised(self, two_arg_arena, monkeypatch):
+        # o3w5 seq plays can be ambiguous, so their searches have choices
+        arena = make_arena(uniform_tree(3, 5))
+        corpus = generate_corpus(arena, SEQUENTIAL, 30, 30, seed=5)
+        plays = [seq[:-1] for seq in corpus.plays + perturb_corpus(corpus, 0.2, 6).plays]
+        before = [justification_assignments(arena, SEQUENTIAL, t) for t in plays]
+        assert any(len(found) > 1 for found in before)
+
+        def refuse(state):
+            raise AssertionError("seq search built a memo key")
+
+        monkeypatch.setattr(_PlayState, "pending_forest", refuse)
+        assert [justification_assignments(arena, SEQUENTIAL, t) for t in plays] == before
+        with pytest.raises(AssertionError, match="memo key"):
+            justification_assignments(two_arg_arena, CONCURRENT, ["q@ε", "q@1", "q@1", "a@1"])
+
+    @pytest.mark.parametrize("tokens", [
+        "q@ε q@1 q@1.1 q@1.1 q@1 q@1.1 a@1.1 q@1.1 a@1.1 q@1.1 a@1 q@1.1",
+        "q@ε q@1 q@1.1 a@1.1 q@1.1 q@1 q@1.1 q@1.1 q@1 q@1.1 a@1.1 q@1.1 a@1 a@1",
+    ])
+    def test_a_forest_met_again_at_another_token_is_searched(self, order2_arena, tokens):
+        # the same pending forest recurs at different tokens of these plays,
+        # with a different future; the reference tries every pointer assignment
+        moves = [parse_token(t) for t in tokens.split()]
+        choices = [
+            [None] if i == 0 else [j for j in range(i) if moves[j] == enabler_of(order2_arena, m)]
+            for i, m in enumerate(moves)
+        ]
+        legal = {play for play in (PointedPlay.from_pairs(list(zip(moves, js)))
+                                   for js in itertools.product(*choices))
+                 if ref_check_concurrent(order2_arena, play).legal}
+        found = justification_assignments(order2_arena, CONCURRENT, tokens.split(), limit=10**6)
+        assert len(found) == len(set(found))
+        assert set(found) == legal
