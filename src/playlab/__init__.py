@@ -9,13 +9,11 @@ perplexity experiments built on top.
 from .arena import (
     Arena,
     MoveId,
-    Polarity,
     TypeSyntaxError,
     TypeTree,
     UnknownMoveError,
     arena_order,
     arena_width,
-    enabler_of,
     make_arena,
     move_player,
     parse_token,
@@ -59,20 +57,14 @@ from .play import (
     CONCURRENT,
     LANGUAGES,
     SEQUENTIAL,
-    IllegalPlayError,
     PointedMove,
     PointedPlay,
     Verdict,
     check_concurrent,
-    check_justified,
     check_sequential,
     format_pointed,
     justification_assignments,
-    legal_extensions,
-    oview,
-    parse_pointed,
     pending_questions,
-    pview,
 )
 from .rng import (
     derive_key,

@@ -200,17 +200,14 @@ def move_player(move: MoveId) -> str:
     return PROPONENT if even else OPPONENT
 
 
-@dataclass(frozen=True)
-class Polarity:
-    player: str  # OPPONENT or PROPONENT
-    kind: str  # QUESTION or ANSWER
-
-
 class Arena:
     """Moves, labelling, enabling and the initial move for one type tree.
 
-    Moves are held in canonical order; integer indices into that order are
-    used internally by the play machinery.
+    Moves are held in canonical order, and ``index`` gives a move's (or a
+    token's) position in it.  Labelling and enabling are tables over those
+    positions: ``player``, ``is_question`` and ``enabler_idx`` (None for the
+    initial move), plus ``answer_of`` and ``child_questions`` for the play
+    machinery.
     """
 
     def __init__(self, tree: TypeTree):
@@ -261,16 +258,6 @@ class Arena:
         except KeyError:
             raise UnknownMoveError(move) from None
 
-    def labelling(self, move: MoveId) -> Polarity:
-        i = self.index(move)
-        return Polarity(self.player[i], QUESTION if self.is_question[i] else ANSWER)
-
 
 def make_arena(tree: TypeTree) -> Arena:
     return Arena(tree)
-
-
-def enabler_of(arena: Arena, move: MoveId) -> MoveId | None:
-    """The unique enabling move, or None for the initial move."""
-    e = arena.enabler_idx[arena.index(move)]
-    return None if e is None else arena.moves[e]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arena import Arena, make_arena, parse_type, render_type
+from .arena import Arena, TypeSyntaxError, make_arena, parse_type, render_type
 from .fileio import write_atomic
 from .play import (ILLEGAL, LANGUAGES, PointedPlay, _PlayState, pending_questions,
                    reconstruction_verdict)
@@ -179,7 +179,11 @@ def read_corpus(path) -> Corpus:
     except ValueError as e:
         raise CorpusFormatError(f"bad header number: {e}") from None
     corpus = Corpus(spec, lang, seed)
-    known = frozenset(Vocab(corpus.arena).tokens)
+    try:
+        arena = corpus.arena
+    except TypeSyntaxError as e:
+        raise CorpusFormatError(f"line 2: arena {spec!r}: {e}") from None
+    known = frozenset(Vocab(arena).tokens)
     for lineno, line in enumerate(lines[5:], start=6):
         if not line.strip():
             continue

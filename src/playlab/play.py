@@ -19,18 +19,18 @@ reporting the first rule the move breaks:
                                 question spawned is answered
 
 ``_replay`` maps names to occurrences and checks justification, then asks
-``_PlayState.violation`` for the language's rules before each ``push``; the
-checkers and ``legal_extensions`` are replays.  ``_PlayState.extensions``
-builds the same legal moves constructively, for the generator, and
-``_PlayState.justifiers`` those of one move, for the pointer search; both
-``push`` and ``pop`` one state.  A sequential state keeps the next mover's
-view (Hyland and Ong) of each prefix, one tuple built from its justifier's
-in ``push``, so no rule walks the play; ``_view_positions`` walks a view
-only for ``pview``/``oview``.  Fork and join follow Ghica and Murawski's
-concurrent plays.  The concurrent pointer search remembers dead states by
-their pending forest up to isomorphism (the AHU canonical form; Aho,
-Hopcroft and Ullman).  ``reconstruction_verdict`` is the one reading of a
-search's outcome, for ``check`` and ``perturb --require-illegal``.
+``_PlayState.violation`` for the language's rules before each ``push``; both
+checkers are replays.  ``_PlayState.extensions`` builds the same legal moves
+constructively, for the generator, and ``_PlayState.justifiers`` those of
+one move, for the pointer search; both ``push`` and ``pop`` one state.  A
+sequential state keeps the next mover's view (Hyland and Ong) of each
+prefix, one tuple built from its justifier's in ``push``; these are the
+only views computed, and no rule walks the play.  Fork and join follow
+Ghica and Murawski's concurrent plays.  The concurrent pointer search
+remembers dead states by their pending forest up to isomorphism (the AHU
+canonical form; Aho, Hopcroft and Ullman).  ``reconstruction_verdict`` is
+the one reading of a search's outcome, for ``check`` and ``perturb
+--require-illegal``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .arena import (
     QUESTION,
     Arena,
     MoveId,
-    move_player,
     parse_token,
 )
 
@@ -62,14 +61,6 @@ JOIN = "join"
 
 SEARCH_BUDGET = 1_000_000  # extensions the pointer search explores before giving up
 VERDICTS = LEGAL, ILLEGAL, AMBIGUOUS = ("legal", "illegal", "ambiguous")  # `check`'s words
-
-
-class IllegalPlayError(ValueError):
-    """Raised when an operation requires a legal play and gets an illegal one."""
-
-    def __init__(self, verdict: "Verdict"):
-        super().__init__(f"illegal play: {verdict.rule} at index {verdict.index}")
-        self.verdict = verdict
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -135,14 +126,6 @@ def format_pointed(play: PointedPlay) -> str:
     return "\n".join(str(pm) for pm in play) + ("\n" if len(play) else "")
 
 
-def parse_pointed(text: str) -> PointedPlay:
-    """One pointed play; see ``parse_pointed_file``."""
-    plays = parse_pointed_file(text)
-    if len(plays) > 1:
-        raise ValueError(f"expected one pointed play, got {len(plays)}")
-    return plays[0] if plays else PointedPlay()
-
-
 def parse_pointed_file(text: str) -> list[PointedPlay]:
     """Pointed plays, one move per line; a blank (or all-whitespace) line
     ends a play.  Errors name the line of ``text``."""
@@ -163,57 +146,6 @@ def parse_pointed_file(text: str) -> list[PointedPlay]:
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e} in {raw!r}") from None
     return plays
-
-
-def _view_positions(players, justs, appender: str) -> list[int]:
-    """Occurrence positions of the ``appender``'s view, right to left.
-
-    Occurrence i belongs to ``players[i]`` and ``justs[i]`` is the position
-    of its justifier, -1 for an opener.  The appender's own moves step left;
-    the other player's moves pull in their justifier and resume to its left;
-    an opening opponent move ends a proponent view.
-    """
-    out = []
-    i = len(players) - 1
-    while i >= 0:
-        out.append(i)
-        if players[i] == appender:
-            i -= 1
-            continue
-        j = justs[i]
-        if j < 0:
-            if appender != PROPONENT:
-                raise ValueError(f"proponent move without a justifier at {i}")
-            break
-        if j >= i:
-            raise ValueError(f"unresolved justifier at {i}")
-        out.append(j)
-        i = j - 1
-    return out
-
-
-def _view(play: PointedPlay, appender: str) -> PointedPlay:
-    items = play.items
-    pos = {pm.name: i for i, pm in enumerate(items)}
-    players = [move_player(pm.move) for pm in items]
-    # a dangling pointer resolves to its own position, which the walk rejects
-    justs = [
-        -1 if pm.justifier is None else pos.get(pm.justifier, i)
-        for i, pm in enumerate(items)
-    ]
-    view = _view_positions(players, justs, appender)
-    return PointedPlay(tuple(items[k] for k in reversed(view)))
-
-
-def pview(play: PointedPlay) -> PointedPlay:
-    """Proponent view: own moves accumulate, opponent moves jump back to
-    their justifier, an opening move restarts the view."""
-    return _view(play, PROPONENT)
-
-
-def oview(play: PointedPlay) -> PointedPlay:
-    """Opponent view, dual to ``pview`` but with no restart clause."""
-    return _view(play, OPPONENT)
 
 
 def pending_questions(play: PointedPlay) -> list[int]:
@@ -395,13 +327,12 @@ class _PlayState:
         )
 
 
-def _replay(arena: Arena, play: PointedPlay, state: _PlayState | None = None) -> Verdict:
-    """Replay ``play`` and report its first broken rule.
+def _replay(arena: Arena, play: PointedPlay, state: _PlayState) -> Verdict:
+    """Replay ``play`` onto the empty ``state`` and report its first broken
+    rule.
 
-    Justification is checked here, while names are mapped to occurrences.
-    Given an empty ``state``, each justified move is then checked by
-    ``state.violation`` and pushed, so the state ends holding the longest
-    legal prefix.
+    Justification is checked here, while names are mapped to occurrences;
+    each justified move is then checked by ``state.violation`` and pushed.
     """
     seen: dict[int, tuple[int, int]] = {}  # name -> (occurrence, arena move index)
     for i, pm in enumerate(play.items):
@@ -414,19 +345,12 @@ def _replay(arena: Arena, play: PointedPlay, state: _PlayState | None = None) ->
             justified = enabler is not None and j_move == enabler
         if pm.name in seen or not justified:
             return Verdict.fail(JUSTIFICATION, i)
-        if state is not None:
-            rule = state.violation(mi, j)
-            if rule is not None:
-                return Verdict.fail(rule, i)
-            state.push(mi, j)
+        rule = state.violation(mi, j)
+        if rule is not None:
+            return Verdict.fail(rule, i)
+        state.push(mi, j)
         seen[pm.name] = (i, mi)
     return Verdict.ok()
-
-
-def check_justified(arena: Arena, play: PointedPlay) -> Verdict:
-    """Well-formedness: fresh names, a single opening initial move first,
-    and every justifier naming an earlier occurrence that enables the move."""
-    return _replay(arena, play)
 
 
 def check_sequential(arena: Arena, play: PointedPlay) -> Verdict:
@@ -446,20 +370,6 @@ def checker_for(lang: str):
     if lang == CONCURRENT:
         return check_concurrent
     raise ValueError(f"unknown language {lang!r}; expected one of {LANGUAGES}")
-
-
-def legal_extensions(arena: Arena, lang: str, play: PointedPlay) -> list[PointedMove]:
-    """Every pointed move that extends ``play`` to a longer legal play,
-    in canonical (move, justifier) order."""
-    state = _PlayState(arena, lang)
-    verdict = _replay(arena, play, state)
-    if not verdict.legal:
-        raise IllegalPlayError(verdict)
-    name = play.items[-1].name + 1 if play.items else 0
-    return [
-        PointedMove(arena.moves[mi], name, None if j < 0 else play.items[j].name)
-        for mi, j in state.extensions()
-    ]
 
 
 def justification_assignments(

@@ -10,13 +10,11 @@ from playlab.arena import (
     QUESTION,
     Arena,
     MoveId,
-    Polarity,
     TypeSyntaxError,
     TypeTree,
     UnknownMoveError,
     arena_order,
     arena_width,
-    enabler_of,
     make_arena,
     move_player,
     parse_token,
@@ -184,9 +182,10 @@ def assert_matches_fold(arena: Arena):
     moves, labelling, enabling, initials = fold_arena(arena.tree)
     assert set(arena.moves) == moves
     for move, (player, kind) in labelling.items():
-        assert arena.labelling(move) == Polarity(player, kind)
+        i = arena.index(move)
+        assert (arena.player[i], arena.is_question[i]) == (player, kind == QUESTION)
     derived = {
-        (enabler_of(arena, m), m) for m in arena.moves if enabler_of(arena, m)
+        (arena.moves[e], m) for m, e in zip(arena.moves, arena.enabler_idx) if e is not None
     }
     assert derived == enabling
     assert {arena.initial} == initials
@@ -196,17 +195,18 @@ class TestMakeArena:
     def test_unit_arena(self, unit_arena):
         q, a = MoveId((), QUESTION), MoveId((), ANSWER)
         assert set(unit_arena.moves) == {q, a}
-        assert unit_arena.labelling(q) == Polarity(OPPONENT, QUESTION)
-        assert unit_arena.labelling(a) == Polarity(PROPONENT, ANSWER)
-        assert enabler_of(unit_arena, a) == q
-        assert enabler_of(unit_arena, q) is None
+        iq, ia = unit_arena.index(q), unit_arena.index(a)
+        assert (unit_arena.player[iq], unit_arena.is_question[iq]) == (OPPONENT, True)
+        assert (unit_arena.player[ia], unit_arena.is_question[ia]) == (PROPONENT, False)
+        assert unit_arena.enabler_idx[ia] == iq
+        assert unit_arena.enabler_idx[iq] is None
 
     def test_arrow_arena(self, arrow_arena):
         assert len(arrow_arena) == 4
-        q1 = parse_token("q@1")
-        assert arrow_arena.labelling(q1) == Polarity(PROPONENT, QUESTION)
-        assert arrow_arena.labelling(parse_token("a@1")) == Polarity(OPPONENT, ANSWER)
-        assert enabler_of(arrow_arena, q1) == parse_token("q@ε")
+        iq1, ia1 = arrow_arena.index("q@1"), arrow_arena.index("a@1")
+        assert (arrow_arena.player[iq1], arrow_arena.is_question[iq1]) == (PROPONENT, True)
+        assert (arrow_arena.player[ia1], arrow_arena.is_question[ia1]) == (OPPONENT, False)
+        assert arrow_arena.enabler_idx[iq1] == arrow_arena.index("q@ε")
 
     def test_width5_order3_size(self):
         tree = uniform_tree(3, 5)
@@ -215,11 +215,11 @@ class TestMakeArena:
 
     def test_deep_enabler(self):
         arena = make_arena(parse_type("(unit -> unit -> unit) -> unit"))
-        assert enabler_of(arena, parse_token("q@1.2")) == parse_token("q@1")
+        assert arena.enabler_idx[arena.index("q@1.2")] == arena.index("q@1")
 
     def test_unknown_move(self, unit_arena):
         with pytest.raises(UnknownMoveError):
-            enabler_of(unit_arena, parse_token("q@7"))
+            unit_arena.index(parse_token("q@7"))
 
     @given(type_trees())
     def test_matches_fold_construction(self, tree):
@@ -229,33 +229,32 @@ class TestMakeArena:
     def test_move_count_and_single_initial(self, tree):
         arena = make_arena(tree)
         assert len(arena) == 2 * tree.node_count()
-        initials = [m for m in arena.moves if enabler_of(arena, m) is None]
+        initials = [m for m, e in zip(arena.moves, arena.enabler_idx) if e is None]
         assert initials == [arena.initial]
 
     @given(type_trees())
     def test_polarity_depth_parity(self, tree):
         arena = make_arena(tree)
-        for move in arena.moves:
-            pol = arena.labelling(move)
+        for move, player in zip(arena.moves, arena.player):
             even = len(move.path) % 2 == 0
             if move.kind == QUESTION:
-                assert pol.player == (OPPONENT if even else PROPONENT)
+                assert player == (OPPONENT if even else PROPONENT)
             else:
                 question_player = OPPONENT if even else PROPONENT
-                assert pol.player != question_player
-            assert pol.player == move_player(move)
+                assert player != question_player
+            assert player == move_player(move)
 
     @given(type_trees())
     def test_enabling_is_a_forest(self, tree):
         arena = make_arena(tree)
-        for move in arena.moves:
+        for i in range(len(arena)):
             seen = set()
-            cursor = move
+            cursor = i
             while cursor is not None:
                 assert cursor not in seen
                 seen.add(cursor)
-                cursor = enabler_of(arena, cursor)
-            assert arena.initial in seen
+                cursor = arena.enabler_idx[cursor]
+            assert arena.initial_idx in seen
 
 
 class TestOrderWidth:

@@ -254,6 +254,17 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError, match="language"):
             read_corpus(path)
 
+    def test_bad_arena_names_line_2(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "#version 1\n#arena unit -> bogus\n#language seq\n#seed 0\n#count 0\n",
+        )
+        with pytest.raises(CorpusFormatError) as err:
+            read_corpus(path)
+        assert str(err.value) == (
+            "line 2: arena 'unit -> bogus': unexpected character 'b' (at position 8)"
+        )
+
 
 class TestLevenshtein:
     def test_identity(self):

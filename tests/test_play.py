@@ -9,7 +9,6 @@ from playlab.arena import (
     OPPONENT,
     PROPONENT,
     UnknownMoveError,
-    enabler_of,
     make_arena,
     move_player,
     parse_token,
@@ -27,24 +26,18 @@ from playlab.play import (
     LANGUAGES,
     SEQUENTIAL,
     VISIBILITY,
-    IllegalPlayError,
     PointedMove,
     PointedPlay,
     SearchBudgetExceeded,
     Verdict,
     _PlayState,
     check_concurrent,
-    check_justified,
     check_sequential,
     checker_for,
     format_pointed,
     justification_assignments,
-    legal_extensions,
-    oview,
-    parse_pointed,
     parse_pointed_file,
     pending_questions,
-    pview,
     reconstruction_verdict,
 )
 
@@ -55,7 +48,6 @@ from oracles import (
     enumerate_ref_legal,
     play_of,
     ref_check_concurrent,
-    ref_check_justified,
     ref_check_sequential,
     ref_oview,
     ref_pending,
@@ -65,114 +57,124 @@ from oracles import (
 SMALL_ARENAS = ["unit", "unit -> unit", "unit -> unit -> unit", "(unit -> unit) -> unit"]
 
 
+def replayed_state(arena, lang, play):
+    """A state holding ``play``, whose names are its positions."""
+    state = _PlayState(arena, lang)
+    for pm in play:
+        state.push(arena.index(pm.move), -1 if pm.justifier is None else pm.justifier)
+    return state
+
+
 def grow_random_play(arena, lang, draw, max_len):
-    """Random legal play driven by a hypothesis data object."""
-    play = PointedPlay()
+    """A state grown by random legal moves, driven by a hypothesis data object."""
+    state = _PlayState(arena, lang)
     for _ in range(max_len):
-        exts = legal_extensions(arena, lang, play)
+        exts = state.extensions()
         if not exts:
             break
-        pm = draw(st.sampled_from(exts))
-        play = PointedPlay(play.items + (pm,))
-    return play
+        state.push(*draw(st.sampled_from(exts)))
+    return state
+
+
+def next_movers_view(play):
+    """Positions of the reference view of the player to move next, right to left."""
+    last = play.items[-1].move if play.items else None
+    mover = PROPONENT if last and move_player(last) == OPPONENT else OPPONENT
+    view = ref_pview(play) if mover == PROPONENT else ref_oview(play)
+    return tuple(pm.name for pm in reversed(view.items))
+
+
+def stored_view(state, player):
+    """``player``'s view of a seq state's play, positions right to left, read
+    off ``views``: the next mover's is stored last, and the last mover's is
+    its last move before the view stored for it one move earlier."""
+    if not len(state) or state.occ_player[-1] != player:
+        return state.views[-1]
+    return (len(state) - 1,) + state.views[-2]
+
+
+CHECKERS = (check_sequential, check_concurrent)
 
 
 class TestCheckJustified:
+    """Each checker reports justification first, so both see these faults."""
+
     def test_question_then_answer(self, unit_arena):
-        assert check_justified(unit_arena, play_of(("q@ε", None), ("a@ε", 0))).legal
+        play = play_of(("q@ε", None), ("a@ε", 0))
+        for check in CHECKERS:
+            assert check(unit_arena, play) == Verdict.ok()
 
     def test_self_pointer(self, unit_arena):
         play = PointedPlay(
             (PointedMove(parse_token("q@ε"), 0, None), PointedMove(parse_token("a@ε"), 1, 1))
         )
-        assert check_justified(unit_arena, play) == Verdict.fail(JUSTIFICATION, 1)
+        for check in CHECKERS:
+            assert check(unit_arena, play) == Verdict.fail(JUSTIFICATION, 1)
 
     def test_non_initial_opening(self, unit_arena):
         play = play_of(("a@ε", None))
-        assert check_justified(unit_arena, play) == Verdict.fail(JUSTIFICATION, 0)
+        for check in CHECKERS:
+            assert check(unit_arena, play) == Verdict.fail(JUSTIFICATION, 0)
 
     def test_duplicate_name(self, unit_arena):
         play = PointedPlay(
             (PointedMove(parse_token("q@ε"), 0, None), PointedMove(parse_token("a@ε"), 0, 0))
         )
-        assert check_justified(unit_arena, play) == Verdict.fail(JUSTIFICATION, 1)
+        for check in CHECKERS:
+            assert check(unit_arena, play) == Verdict.fail(JUSTIFICATION, 1)
 
     def test_second_initial(self, two_arg_arena):
         play = play_of(("q@ε", None), ("q@ε", None))
-        assert check_justified(two_arg_arena, play) == Verdict.fail(JUSTIFICATION, 1)
+        for check in CHECKERS:
+            assert check(two_arg_arena, play) == Verdict.fail(JUSTIFICATION, 1)
 
     def test_wrong_enabler(self, two_arg_arena):
         play = play_of(("q@ε", None), ("q@1", 0), ("a@2", 1))
-        assert check_justified(two_arg_arena, play) == Verdict.fail(JUSTIFICATION, 2)
+        for check in CHECKERS:
+            assert check(two_arg_arena, play) == Verdict.fail(JUSTIFICATION, 2)
 
 
 class TestViews:
-    def test_pview_empty(self):
-        assert pview(PointedPlay()) == PointedPlay()
+    """The views a seq state stores, read for both players by ``stored_view``."""
 
-    def test_oview_empty(self):
-        assert oview(PointedPlay()) == PointedPlay()
+    def test_pview_empty(self, unit_arena):
+        assert stored_view(_PlayState(unit_arena, SEQUENTIAL), PROPONENT) == ()
 
-    def test_pview_single_opening(self):
-        play = play_of(("q@ε", None))
-        assert pview(play) == play
-        assert oview(play) == play
+    def test_oview_empty(self, unit_arena):
+        assert stored_view(_PlayState(unit_arena, SEQUENTIAL), OPPONENT) == ()
 
-    def test_pview_of_seq_composition_is_whole_play(self):
-        assert pview(SEQ_COMPOSITION_PLAY) == SEQ_COMPOSITION_PLAY
+    def test_pview_single_opening(self, unit_arena):
+        state = replayed_state(unit_arena, SEQUENTIAL, play_of(("q@ε", None)))
+        assert stored_view(state, PROPONENT) == (0,)
+        assert stored_view(state, OPPONENT) == (0,)
+
+    def test_pview_of_seq_composition_is_whole_play(self, two_arg_arena):
+        state = replayed_state(two_arg_arena, SEQUENTIAL, SEQ_COMPOSITION_PLAY)
+        assert stored_view(state, PROPONENT) == (5, 4, 3, 2, 1, 0)
 
     def test_pview_restarts_at_opening(self, two_arg_arena):
         # after the first argument completes, the opponent's view still
         # reaches back through the opening move
-        prefix = SEQ_COMPOSITION_PLAY[:3]
-        names = [pm.name for pm in oview(prefix)]
-        assert names == [0, 1, 2]
+        state = replayed_state(two_arg_arena, SEQUENTIAL, SEQ_COMPOSITION_PLAY[:3])
+        assert stored_view(state, OPPONENT) == (2, 1, 0)
 
     def test_oview_ends_with_justifier_then_move(self, two_arg_arena):
         # any play ending in a proponent move justified by n: the oview
         # ends [justifier move, the move itself]
         for play in enumerate_ref_legal(two_arg_arena, ref_check_sequential, 5):
-            if not play.items:
+            if not play.items or move_player(play.items[-1].move) != PROPONENT:
                 continue
-            last = play.items[-1]
-            from playlab.arena import PROPONENT, move_player
-
-            if move_player(last.move) != PROPONENT:
-                continue
-            tail = oview(play).items[-2:]
-            assert tail[-1] == last
-            assert tail[0].name == last.justifier
-
-    def test_view_of_malformed_sequence(self):
-        # the dangling pointer is only dereferenced by the truncating view
-        bad = PointedPlay(
-            (
-                PointedMove(parse_token("q@ε"), 0, None),
-                PointedMove(parse_token("a@ε"), 1, 7),
-            )
-        )
-        with pytest.raises(ValueError):
-            oview(bad)
-        worse = PointedPlay(
-            (
-                PointedMove(parse_token("q@ε"), 0, None),
-                PointedMove(parse_token("q@1"), 1, 0),
-                PointedMove(parse_token("a@1"), 2, 99),
-            )
-        )
-        with pytest.raises(ValueError):
-            pview(worse)
+            state = replayed_state(two_arg_arena, SEQUENTIAL, play)
+            assert stored_view(state, OPPONENT)[:2] == (len(play) - 1, play.items[-1].justifier)
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS)
     def test_views_match_recursive_clauses(self, spec):
         arena = make_arena(parse_type(spec))
-        for play in enumerate_justified(arena, 5):
-            try:
-                expect = ref_pview(play)
-            except StopIteration:
-                continue
-            assert pview(play) == expect
-            assert oview(play) == ref_oview(play)
+        for play in enumerate_ref_legal(arena, ref_check_sequential, 5):
+            state = replayed_state(arena, SEQUENTIAL, play)
+            for player, ref in ((PROPONENT, ref_pview), (OPPONENT, ref_oview)):
+                names = tuple(pm.name for pm in reversed(ref(play).items))
+                assert stored_view(state, player) == names
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS[1:])
     def test_views_are_subsequences_ending_at_last_move(self, spec):
@@ -180,10 +182,11 @@ class TestViews:
         for play in enumerate_ref_legal(arena, ref_check_sequential, 6):
             if not play.items:
                 continue
-            for view in (pview(play), oview(play)):
-                it = iter(play.items)
-                assert all(pm in it for pm in view.items)  # subsequence
-            assert pview(play).items[-1] == play.items[-1]
+            state = replayed_state(arena, SEQUENTIAL, play)
+            for player in (PROPONENT, OPPONENT):
+                view = stored_view(state, player)
+                assert list(view) == sorted(set(view), reverse=True)  # subsequence
+            assert stored_view(state, PROPONENT)[0] == len(play) - 1
 
 
 class TestPendingQuestions:
@@ -262,7 +265,6 @@ class TestOracleEquivalence:
     def test_checkers_agree_with_references(self, spec):
         arena = make_arena(parse_type(spec))
         for play in enumerate_justified(arena, 5):
-            assert check_justified(arena, play) == ref_check_justified(arena, play)
             assert check_sequential(arena, play) == ref_check_sequential(arena, play)
             assert check_concurrent(arena, play) == ref_check_concurrent(arena, play)
 
@@ -284,35 +286,31 @@ class TestOracleEquivalence:
 
 
 class TestLegalExtensions:
+    """``_PlayState.extensions``, the generator's list of legal moves."""
+
     def test_empty_play_offers_opening(self, unit_arena):
-        assert legal_extensions(unit_arena, SEQUENTIAL, PointedPlay()) == [
-            PointedMove(parse_token("q@ε"), 0, None)
-        ]
+        state = _PlayState(unit_arena, SEQUENTIAL)
+        assert state.extensions() == [(unit_arena.index("q@ε"), -1)]
 
     def test_unit_arena_single_answer(self, unit_arena):
-        exts = legal_extensions(unit_arena, SEQUENTIAL, play_of(("q@ε", None)))
-        assert exts == [PointedMove(parse_token("a@ε"), 1, 0)]
+        state = replayed_state(unit_arena, SEQUENTIAL, play_of(("q@ε", None)))
+        assert state.extensions() == [(unit_arena.index("a@ε"), 0)]
 
     def test_par_prefix_concurrent(self, two_arg_arena):
         # both pending argument calls may answer, the root answer is held
         # back by join, and each argument may be forked again
-        exts = legal_extensions(two_arg_arena, CONCURRENT, PAR_COMPOSITION_PLAY[:3])
-        assert {(pm.move.token, pm.justifier) for pm in exts} == {
+        state = replayed_state(two_arg_arena, CONCURRENT, PAR_COMPOSITION_PLAY[:3])
+        assert {(two_arg_arena.tokens[mi], j) for mi, j in state.extensions()} == {
             ("a@1", 1),
             ("a@2", 2),
             ("q@1", 0),
             ("q@2", 0),
         }
 
-    def test_rejects_illegal_play(self, two_arg_arena):
-        with pytest.raises(IllegalPlayError):
-            legal_extensions(two_arg_arena, SEQUENTIAL, PAR_COMPOSITION_PLAY)
-
-    def test_output_is_sorted_and_fresh_named(self, two_arg_arena):
-        exts = legal_extensions(two_arg_arena, CONCURRENT, PAR_COMPOSITION_PLAY[:3])
-        assert [pm.name for pm in exts] == [3, 3, 3, 3]
-        keys = [(pm.move, pm.justifier) for pm in exts]
-        assert keys == sorted(keys, key=lambda k: (k[0], -1 if k[1] is None else k[1]))
+    def test_output_is_in_canonical_order(self, two_arg_arena):
+        exts = replayed_state(two_arg_arena, CONCURRENT, PAR_COMPOSITION_PLAY[:3]).extensions()
+        assert len(exts) == 4
+        assert exts == sorted(set(exts))
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS)
     @pytest.mark.parametrize("lang", [SEQUENTIAL, CONCURRENT])
@@ -320,16 +318,9 @@ class TestLegalExtensions:
         arena = make_arena(parse_type(spec))
         ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
         for play in enumerate_ref_legal(arena, ref, 5):
-            got = {(pm.move, pm.justifier) for pm in legal_extensions(arena, lang, play)}
+            exts = replayed_state(arena, lang, play).extensions()
+            got = {(arena.moves[mi], None if j < 0 else j) for mi, j in exts}
             assert got == brute_force_extensions(arena, lang, play)
-
-
-def replayed_state(arena, lang, play):
-    """A state holding ``play``, whose names are its positions."""
-    state = _PlayState(arena, lang)
-    for pm in play:
-        state.push(arena.index(pm.move), -1 if pm.justifier is None else pm.justifier)
-    return state
 
 
 class TestPlayState:
@@ -385,11 +376,7 @@ class TestPlayState:
     def test_stored_view_is_the_next_movers_view(self, spec):
         arena = make_arena(parse_type(spec))
         for play in enumerate_ref_legal(arena, ref_check_sequential, 6):
-            state = replayed_state(arena, SEQUENTIAL, play)
-            last = play.items[-1].move if play.items else None
-            mover = PROPONENT if last and move_player(last) == OPPONENT else OPPONENT
-            view = ref_pview(play) if mover == PROPONENT else ref_oview(play)
-            assert state.views[-1] == tuple(pm.name for pm in reversed(view.items))
+            assert replayed_state(arena, SEQUENTIAL, play).views[-1] == next_movers_view(play)
 
     def test_pending_forest_is_canonical(self, two_arg_arena):
         # q@1 forked twice and q@2 once under the opener, in either order
@@ -415,13 +402,13 @@ class TestRandomPlays:
         spec = data.draw(st.sampled_from(SMALL_ARENAS[1:]))
         lang = data.draw(st.sampled_from([SEQUENTIAL, CONCURRENT]))
         arena = make_arena(parse_type(spec))
-        play = grow_random_play(arena, lang, data.draw, max_len=10)
+        state = grow_random_play(arena, lang, data.draw, max_len=10)
+        play = state.to_play()
         assert checker_for(lang)(arena, play).legal
         ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
         assert ref(arena, play).legal
         if lang == SEQUENTIAL:
-            assert pview(play) == ref_pview(play)
-            assert oview(play) == ref_oview(play)
+            assert state.views[-1] == next_movers_view(play)
 
 
 class TestPointedText:
@@ -432,7 +419,7 @@ class TestPointedText:
 
     def test_round_trip(self, two_arg_arena):
         for play in enumerate_ref_legal(two_arg_arena, ref_check_sequential, 4):
-            assert parse_pointed(format_pointed(play)) == play
+            assert parse_pointed_file(format_pointed(play)) == ([play] if play.items else [])
 
     def test_parse_file_blocks(self):
         text = format_pointed(SEQ_COMPOSITION_PLAY) + "\n" + format_pointed(
@@ -443,11 +430,9 @@ class TestPointedText:
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
-            parse_pointed("q@ε 0")
+            parse_pointed_file("q@ε 0")
         with pytest.raises(ValueError):
-            parse_pointed("q@ε zero *")
-        with pytest.raises(ValueError, match="expected one pointed play, got 2"):
-            parse_pointed("q@ε 0 *\n\nq@ε 0 *\n")
+            parse_pointed_file("q@ε zero *")
 
     def test_whitespace_line_separates_plays(self, unit_arena):
         play = "q@ε 0 *\na@ε 1 0\n"
@@ -639,9 +624,10 @@ class TestDeadStateMemo:
         # the same pending forest recurs at different tokens of these plays,
         # with a different future; the reference tries every pointer assignment
         moves = [parse_token(t) for t in tokens.split()]
+        at = [order2_arena.index(m) for m in moves]
         choices = [
-            [None] if i == 0 else [j for j in range(i) if moves[j] == enabler_of(order2_arena, m)]
-            for i, m in enumerate(moves)
+            [None] if i == 0 else [j for j in range(i) if at[j] == order2_arena.enabler_idx[mi]]
+            for i, mi in enumerate(at)
         ]
         legal = {play for play in (PointedPlay.from_pairs(list(zip(moves, js)))
                                    for js in itertools.product(*choices))
