@@ -17,7 +17,7 @@ from .arena import Arena, TypeSyntaxError, make_arena, parse_type, render_type
 from .fileio import write_atomic
 from .play import (ILLEGAL, LANGUAGES, PointedPlay, _PlayState, pending_questions,
                    reconstruction_verdict)
-from .rng import substream
+from .rng import rekey, substream
 
 EOP = "$"
 
@@ -122,8 +122,9 @@ def generate_corpus(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     plays = []
+    rng = substream(seed)
     for i in range(count):
-        rng = substream(seed, i)
+        rekey(rng, seed, i)
         play = generate_play(arena, lang, max_len, rng)
         if complete_only:
             for _ in range(1000):
@@ -159,6 +160,15 @@ def _header_value(line: str, lineno: int, key: str) -> str:
     return line[len(prefix):].strip()
 
 
+def _header_int(line: str, lineno: int, key: str) -> int:
+    value = _header_value(line, lineno, key)
+    try:
+        return int(value)
+    except ValueError:
+        raise CorpusFormatError(
+            f"line {lineno}: #{key} must be an integer, got {value!r}") from None
+
+
 def read_corpus(path) -> Corpus:
     """Parse and validate a corpus file; every token must belong to the
     declared arena's vocabulary, with EOP exactly once and last per play."""
@@ -168,17 +178,14 @@ def read_corpus(path) -> Corpus:
         found = lines[0].strip() if lines else "empty file"
         raise CorpusFormatError(f"line 1: unsupported corpus format ({found!r})")
     if len(lines) < 5:
-        raise CorpusFormatError("truncated header: expected 5 header lines")
+        raise CorpusFormatError(
+            f"truncated header: expected 5 header lines, the file has {len(lines)}")
     spec = _header_value(lines[1], 2, "arena")
     lang = _header_value(lines[2], 3, "language")
     if lang not in LANGUAGES:
         raise CorpusFormatError(f"line 3: unknown language {lang!r}")
-    try:
-        seed = int(_header_value(lines[3], 4, "seed"))
-        count = int(_header_value(lines[4], 5, "count"))
-    except ValueError as e:
-        raise CorpusFormatError(f"bad header number: {e}") from None
-    corpus = Corpus(spec, lang, seed)
+    corpus = Corpus(spec, lang, _header_int(lines[3], 4, "seed"))
+    count = _header_int(lines[4], 5, "count")
     try:
         arena = corpus.arena
     except TypeSyntaxError as e:
@@ -260,8 +267,9 @@ def perturb_corpus(
     arena = corpus.arena
     vocab = build_vocab(arena)
     out = []
+    rng = substream(seed)
     for i, seq in enumerate(corpus.plays):
-        rng = substream(seed, i)
+        rekey(rng, seed, i)
         try:
             mutated = perturb(seq, vocab, ratio, rng)
         except ValueError as e:  # an empty play (or a bad ratio, raised at play 1)

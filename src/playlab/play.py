@@ -26,17 +26,19 @@ one move, for the pointer search; both ``push`` and ``pop`` one state.  A
 sequential state keeps the next mover's view (Hyland and Ong) of each
 prefix, one tuple built from its justifier's in ``push``; these are the
 only views computed, and no rule walks the play.  Fork and join follow
-Ghica and Murawski's concurrent plays.  The concurrent pointer search
-remembers dead states by their pending forest up to isomorphism (the AHU
-canonical form; Aho, Hopcroft and Ullman).  ``reconstruction_verdict`` is
-the one reading of a search's outcome, for ``check`` and ``perturb
---require-illegal``.
+Ghica and Murawski's concurrent plays.  The pointer search backtracks
+straight to the deepest token with an untried choice and ends once no token
+has one; the concurrent search also remembers dead states by their pending
+forest up to isomorphism (the AHU canonical form; Aho, Hopcroft and
+Ullman).  ``reconstruction_verdict`` is the one reading of a search's
+outcome, for ``check`` and ``perturb --require-illegal``.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arena import (
     ANSWER,
@@ -67,8 +69,7 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when justification-assignment search exceeds its node budget."""
 
 
-@dataclass(frozen=True)
-class PointedMove:
+class PointedMove(NamedTuple):  # not a dataclass: to_play builds one per move
     move: MoveId
     name: int
     justifier: int | None  # name of the justifying occurrence, None opens
@@ -260,10 +261,11 @@ class _PlayState:
             occ_player, occ_move = self.occ_player, self.occ_move
             mover = PROPONENT if occ_player[-1] == OPPONENT else OPPONENT
             view = self.views[-1]
-            for occ in view:
-                if occ_player[occ] != mover:  # a move's child questions are the other player's
-                    for child in arena.child_questions[occ_move[occ]]:
-                        exts.append((child, occ))
+            # the view alternates players, the other player's last move first:
+            # the mover asks the child questions of every other entry
+            for occ in view[::2]:
+                for child in arena.child_questions[occ_move[occ]]:
+                    exts.append((child, occ))
             if self.pending:
                 occ = self.pending[-1]
                 answer = arena.answer_of[occ_move[occ]]
@@ -382,7 +384,10 @@ def justification_assignments(
     ``limit``) of assigning justifiers so the result is legal in ``lang``.
 
     Token order is kept; the search walks legal extensions only, so every
-    returned play is legal by construction.  In ``conc`` the rest of a play
+    returned play is legal by construction.  It keeps a stack of the tokens
+    with untried choices, backtracks straight to the deepest of them (a
+    forced token is not revisited) and returns once the stack is empty, so a
+    play with no choice point costs one replay.  In ``conc`` the rest of a play
     depends only on the token reached and the pending forest, so a state
     whose subtree added no result is remembered by those and not searched
     again.  Only states with two or more choices are keyed: a forced or
@@ -398,10 +403,11 @@ def justification_assignments(
     state = _PlayState(arena, lang)
     memo = lang == CONCURRENT
     dead = set()  # conc: (token, pending forest) of states that led to no result
-    untried = []  # untried[k]: legal (move, justifier) choices for token k not yet tried
     entered = []  # entered[k]: token k's memo key (or None), and the result count on reaching it
-    while True:  # the state holds one move per entry of untried
-        k = len(untried)
+    branches = []  # (token, its untried choices, last first) of tokens with one left, deepest last
+    while True:  # the state holds one move per entry of entered
+        k = len(state)
+        choices = []
         if k == len(want):
             results.append(state.to_play())
             if len(results) >= limit:
@@ -409,20 +415,26 @@ def justification_assignments(
         else:
             choices = state.justifiers(want[k])
             key = (k, state.pending_forest()) if memo and len(choices) > 1 else None
-            untried.append(iter(() if key in dead else choices))
+            if key in dead:
+                choices = []
             entered.append((key, len(results)))
-        while untried:  # backtrack to the deepest token with a choice left
-            if len(state) == len(untried):
+        if choices:
+            choice = choices[0]
+            if len(choices) > 1:
+                branches.append((k, choices[:0:-1]))
+        else:  # backtrack to the deepest token with a choice left
+            if not branches:
+                return results
+            k, untried = branches[-1]
+            choice = untried.pop()
+            if not untried:
+                branches.pop()
+            for key, found in entered[k + 1:]:
+                if key is not None and found == len(results):
+                    dead.add(key)
+            del entered[k + 1:]
+            for _ in range(len(state) - k):
                 state.pop()
-            choice = next(untried[-1], None)
-            if choice is not None:
-                break
-            untried.pop()
-            key, found = entered.pop()
-            if key is not None and found == len(results):
-                dead.add(key)
-        else:
-            return results
         spent += 1
         if spent > SEARCH_BUDGET:
             raise SearchBudgetExceeded(f"more than {SEARCH_BUDGET} extensions explored")

@@ -7,6 +7,12 @@ same name yields the same stream on every run and platform, and distinct
 names yield statistically independent streams.  Substreams can be derived
 from substreams (the path just grows), which is what lets per-play and
 per-cell work be reproduced in isolation.
+
+A stream is only its key: ``rekey`` moves a generator to the start of
+another stream, the state ``substream`` starts in.  A loop over plays makes
+one generator and re-keys it before each play, so it draws what a fresh
+``substream`` per play would, without building a generator per play (numpy
+draws OS entropy for every new Philox, only for the key to override it).
 """
 
 from __future__ import annotations
@@ -44,3 +50,14 @@ def derive_seed(seed: int, *path: int | str) -> int:
 def substream(seed: int, *path: int | str) -> np.random.Generator:
     """A fresh generator positioned at the start of the named stream."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *path)))
+
+
+def rekey(rng: np.random.Generator, seed: int, *path: int | str) -> None:
+    """Move a ``substream`` generator to the start of the named stream:
+    counter 0, empty buffer, no spare 32-bit draw."""
+    key = derive_key(seed, *path)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (key & 0xFFFFFFFFFFFFFFFF, key >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }

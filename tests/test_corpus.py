@@ -254,6 +254,18 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError, match="language"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("#seed x\n#count 0\n", "line 4: #seed must be an integer, got 'x'"),
+        ("#seed 0\n#count 1.5\n", "line 5: #count must be an integer, got '1.5'"),
+        ("#seed\n#count 0\n", "line 4: expected '#seed <value>', got '#seed'"),
+        ("#seed 0\n", "truncated header: expected 5 header lines, the file has 4"),
+    ], ids=["seed", "count", "no-value", "short"])
+    def test_bad_seed_or_count_names_its_line(self, tmp_path, header, message):
+        path = self._write(tmp_path, "#version 1\n#arena unit\n#language seq\n" + header)
+        with pytest.raises(CorpusFormatError) as err:
+            read_corpus(path)
+        assert str(err.value) == message
+
     def test_bad_arena_names_line_2(self, tmp_path):
         path = self._write(
             tmp_path,

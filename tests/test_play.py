@@ -478,6 +478,34 @@ class TestJustificationAssignments:
         tokens = [pm.move.token for pm in play]
         assert justification_assignments(arrow_arena, SEQUENTIAL, tokens) == [play]
 
+    def test_a_play_without_choice_points_is_not_unwound(self, arrow_arena, monkeypatch):
+        # every token of this seq play has exactly one justifier, so the search
+        # ends at its last token and never pops back through the forced ones
+        pairs = [("q@ε", None)]
+        for k in range(20):
+            pairs += [("q@1", 0), ("a@1", 2 * k + 1)]
+        play = play_of(*pairs, ("a@ε", 0))
+        state = _PlayState(arrow_arena, SEQUENTIAL)
+        for pm in play:
+            choices = state.justifiers(arrow_arena.index(pm.move))
+            assert len(choices) == 1
+            state.push(*choices[0])
+        pops = []
+        pop = _PlayState.pop
+
+        def counted(self):
+            pops.append(len(self))
+            pop(self)
+
+        monkeypatch.setattr(_PlayState, "pop", counted)
+        tokens = [pm.move.token for pm in play]
+        assert justification_assignments(arrow_arena, SEQUENTIAL, tokens) == [play]
+        assert pops == []
+        # a play with one choice point pops back to it once per choice after the first
+        tokens = ["q@ε", "q@1", "q@1", "a@1", "a@1", "a@ε"]
+        assert len(justification_assignments(arrow_arena, CONCURRENT, tokens, limit=5)) == 2
+        assert pops == [6, 5, 4]
+
     def test_limit_below_one_rejected(self, arrow_arena):
         tokens = ["q@ε", "q@1", "q@1", "a@1"]
         for limit in (0, -1):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from playlab.rng import derive_key, derive_seed, substream
+from playlab.arena import make_arena, uniform_tree
+from playlab.corpus import generate_play
+from playlab.rng import derive_key, derive_seed, rekey, substream
 
 
 class TestDeriveKey:
@@ -63,3 +65,28 @@ class TestSubstream:
         a = substream(0, "init").normal(size=4)
         b = substream(0, "data").normal(size=4)
         assert not np.array_equal(a, b)
+
+
+def _draws(rng):
+    return [rng.random(), rng.integers(7), rng.integers(3, 40), rng.random(), rng.integers(2**40),
+            rng.integers(5), rng.integers(-2, 2)]
+
+
+class TestRekey:
+    def test_part_used_buffer_is_dropped(self):
+        # plays draw 64-bit floats and 32-bit bounded integers, so they leave
+        # the four-word buffer part-used and a spare 32-bit half behind
+        arena = make_arena(uniform_tree(2, 5))
+        rng = substream(4)
+        for i in range(100):
+            rekey(rng, 4, i)
+            generate_play(arena, "seq", 50, rng)
+            state = rng.bit_generator.state
+            if state["has_uint32"] == 1 and state["buffer_pos"] < 4:
+                break
+        else:
+            raise AssertionError("no play left the buffer part-used")
+        rekey(rng, 4, "next")
+        fresh = substream(4, "next")
+        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        assert _draws(rng) == _draws(fresh)
