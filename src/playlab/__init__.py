@@ -64,7 +64,6 @@ from .play import (
     check_sequential,
     format_pointed,
     justification_assignments,
-    pending_questions,
 )
 from .rng import (
     derive_key,

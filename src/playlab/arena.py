@@ -56,9 +56,6 @@ class TypeTree:
 
     args: tuple["TypeTree", ...] = ()
 
-    def node_count(self) -> int:
-        return 1 + sum(a.node_count() for a in self.args)
-
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []

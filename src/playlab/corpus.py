@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arena import Arena, TypeSyntaxError, make_arena, parse_type, render_type
+from .arena import ANSWER, Arena, TypeSyntaxError, make_arena, parse_type, render_type
 from .fileio import write_atomic
-from .play import (ILLEGAL, LANGUAGES, PointedPlay, _PlayState, pending_questions,
-                   reconstruction_verdict)
+from .play import ILLEGAL, LANGUAGES, PointedPlay, _PlayState, reconstruction_verdict
 from .rng import rekey, substream
 
 EOP = "$"
@@ -97,7 +96,10 @@ def generate_play(
 
 
 def is_complete(play: PointedPlay) -> bool:
-    return not pending_questions(play)
+    """Whether a legal play has no pending question: in a legal play each
+    answer closes exactly one pending question, so it is complete when its
+    answers make up half its moves."""
+    return 2 * sum(pm.move.kind == ANSWER for pm in play) == len(play)
 
 
 def elide(play: PointedPlay) -> TokenSeq:

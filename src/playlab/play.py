@@ -1,9 +1,10 @@
 """Justified pointer sequences and play legality.
 
-A pointed move carries the move itself, a fresh name for this occurrence,
-and the name of the earlier occurrence that justifies it (``None`` for the
-opening move).  Names are realized as 0-based occurrence indices.  Plays are
-well-opened: exactly one initial move, placed first.
+A pointed play is a plain tuple of ``PointedMove(move, name, justifier)``:
+the move itself, a fresh name for this occurrence, and the name of the
+earlier occurrence that justifies it (``None`` for the opening move).  Names
+are realized as 0-based occurrence indices.  Plays are well-opened: exactly
+one initial move, placed first.
 
 One state machine, ``_PlayState``, knows the play rules.  It holds a play as
 per-occurrence arrays and checks a move against them in this order,
@@ -41,10 +42,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arena import (
-    ANSWER,
     OPPONENT,
     PROPONENT,
-    QUESTION,
     Arena,
     MoveId,
     parse_token,
@@ -97,29 +96,7 @@ class Verdict:
         return LEGAL if self.legal else f"{ILLEGAL} {self.rule} at {self.index}"
 
 
-@dataclass(frozen=True)
-class PointedPlay:
-    items: tuple[PointedMove, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return PointedPlay(self.items[key])
-        return self.items[key]
-
-    def append(self, move: MoveId, justifier: int | None) -> "PointedPlay":
-        name = self.items[-1].name + 1 if self.items else 0
-        return PointedPlay(self.items + (PointedMove(move, name, justifier),))
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "PointedPlay":
-        """Build from (move, justifier-name) pairs; names are positions."""
-        return cls(tuple(PointedMove(m, i, j) for i, (m, j) in enumerate(pairs)))
+PointedPlay = tuple[PointedMove, ...]
 
 
 def format_pointed(play: PointedPlay) -> str:
@@ -136,7 +113,7 @@ def parse_pointed_file(text: str) -> list[PointedPlay]:
         parts = raw.split()
         if not parts:
             if items:
-                plays.append(PointedPlay(tuple(items)))
+                plays.append(tuple(items))
                 items = []
             continue
         if len(parts) != 3:
@@ -149,16 +126,6 @@ def parse_pointed_file(text: str) -> list[PointedPlay]:
     return plays
 
 
-def pending_questions(play: PointedPlay) -> list[int]:
-    """Names of question occurrences not yet answered, in occurrence order."""
-    answered = {pm.justifier for pm in play.items if pm.move.kind == ANSWER}
-    return [
-        pm.name
-        for pm in play.items
-        if pm.move.kind == QUESTION and pm.name not in answered
-    ]
-
-
 class _PlayState:
     """A play held as per-occurrence arrays, one move at a time.
 
@@ -169,8 +136,7 @@ class _PlayState:
     it; ``pop`` undoes the last ``push``.
     """
 
-    __slots__ = ("arena", "lang", "occ_move", "occ_player", "occ_just", "pending", "open_children",
-                 "views")
+    __slots__ = ("arena", "lang", "occ_move", "occ_just", "pending", "open_children", "views")
 
     def __init__(self, arena: Arena, lang: str):
         if lang not in LANGUAGES:
@@ -178,7 +144,6 @@ class _PlayState:
         self.arena = arena
         self.lang = lang
         self.occ_move: list[int] = []  # arena move index per occurrence
-        self.occ_player: list[str] = []  # owner of each occurrence's move
         self.occ_just: list[int] = []  # justifier occurrence, -1 for the opener
         self.pending: list[int] = []  # unanswered question occurrences, oldest first
         self.open_children: list[int] = []  # unanswered questions spawned per occurrence
@@ -198,7 +163,7 @@ class _PlayState:
         if self.lang == SEQUENTIAL:
             player = arena.player[move_idx]
             # the empty play counts as ended by the proponent, so the opponent opens
-            if player == (self.occ_player[-1] if self.occ_player else PROPONENT):
+            if player == (arena.player[self.occ_move[-1]] if self.occ_move else PROPONENT):
                 return ALTERNATION
             if not arena.is_question[move_idx]:
                 if not self.pending or self.pending[-1] != justifier:
@@ -216,7 +181,6 @@ class _PlayState:
         arena = self.arena
         k = len(self.occ_move)
         self.occ_move.append(move_idx)
-        self.occ_player.append(arena.player[move_idx])
         self.occ_just.append(justifier)
         self.open_children.append(0)
         if arena.is_question[move_idx]:
@@ -235,7 +199,6 @@ class _PlayState:
         """Undo the last ``push``.  ``pending`` is kept in occurrence order,
         so an answered question goes back to its sorted place."""
         move_idx = self.occ_move.pop()
-        self.occ_player.pop()
         justifier = self.occ_just.pop()
         self.open_children.pop()
         if self.lang == SEQUENTIAL:
@@ -258,8 +221,8 @@ class _PlayState:
             return [(arena.initial_idx, -1)]
         exts: list[tuple[int, int]] = []
         if self.lang == SEQUENTIAL:
-            occ_player, occ_move = self.occ_player, self.occ_move
-            mover = PROPONENT if occ_player[-1] == OPPONENT else OPPONENT
+            occ_move = self.occ_move
+            mover = PROPONENT if arena.player[occ_move[-1]] == OPPONENT else OPPONENT
             view = self.views[-1]
             # the view alternates players, the other player's last move first:
             # the mover asks the child questions of every other entry
@@ -290,7 +253,7 @@ class _PlayState:
         enabler = arena.enabler_idx[move_idx]
         occ_move = self.occ_move
         if self.lang == SEQUENTIAL:
-            if arena.player[move_idx] == self.occ_player[-1]:
+            if arena.player[move_idx] == arena.player[occ_move[-1]]:
                 return []
             view = self.views[-1]
             if arena.is_question[move_idx]:
@@ -321,11 +284,9 @@ class _PlayState:
 
     def to_play(self) -> PointedPlay:
         moves = self.arena.moves
-        return PointedPlay(
-            tuple(
-                PointedMove(moves[mi], k, None if j < 0 else j)
-                for k, (mi, j) in enumerate(zip(self.occ_move, self.occ_just))
-            )
+        return tuple(
+            PointedMove(moves[mi], k, None if j < 0 else j)
+            for k, (mi, j) in enumerate(zip(self.occ_move, self.occ_just))
         )
 
 
@@ -336,22 +297,23 @@ def _replay(arena: Arena, play: PointedPlay, state: _PlayState) -> Verdict:
     Justification is checked here, while names are mapped to occurrences;
     each justified move is then checked by ``state.violation`` and pushed.
     """
-    seen: dict[int, tuple[int, int]] = {}  # name -> (occurrence, arena move index)
-    for i, pm in enumerate(play.items):
+    seen: dict[int, int] = {}  # name -> occurrence
+    occ_move = state.occ_move
+    for i, pm in enumerate(play):
         mi = arena.index(pm.move)  # raises UnknownMoveError
         enabler = arena.enabler_idx[mi]
         if pm.justifier is None:
             j, justified = -1, enabler is None and i == 0
         else:
-            j, j_move = seen.get(pm.justifier, (-1, None))
-            justified = enabler is not None and j_move == enabler
+            j = seen.get(pm.justifier, -1)
+            justified = j >= 0 and occ_move[j] == enabler
         if pm.name in seen or not justified:
             return Verdict.fail(JUSTIFICATION, i)
         rule = state.violation(mi, j)
         if rule is not None:
             return Verdict.fail(rule, i)
         state.push(mi, j)
-        seen[pm.name] = (i, mi)
+        seen[pm.name] = i
     return Verdict.ok()
 
 

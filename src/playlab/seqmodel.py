@@ -166,10 +166,10 @@ def init_model(config: ModelConfig) -> LstmModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) below, and never overflows
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) below, and never overflows;
+    # the numerator is 1 where z >= 0 (ez <= 1 there) and ez below
     ez = np.exp(-np.abs(z))
-    d = 1.0 + ez
-    return np.where(z >= 0, 1.0 / d, ez / d)
+    return np.maximum(ez, z >= 0) / (1.0 + ez)
 
 
 def _gates(z, c):

@@ -28,6 +28,7 @@ from playlab.play import (
     JOIN,
     JUSTIFICATION,
     VISIBILITY,
+    PointedMove,
     PointedPlay,
     Verdict,
 )
@@ -35,8 +36,8 @@ from playlab.play import (
 
 def play_of(*pairs) -> PointedPlay:
     """Build a play from (token, justifier-name) pairs; names are positions."""
-    return PointedPlay.from_pairs(
-        [(parse_token(tok), just) for tok, just in pairs]
+    return tuple(
+        PointedMove(parse_token(tok), i, just) for i, (tok, just) in enumerate(pairs)
     )
 
 
@@ -69,7 +70,7 @@ def ref_pview(play: PointedPlay) -> PointedPlay:
         j = next(k for k, pm in enumerate(seq) if pm.name == last.justifier)
         return pv(seq[:j]) + [seq[j], last]
 
-    return PointedPlay(tuple(pv(items)))
+    return tuple(pv(items))
 
 
 def ref_oview(play: PointedPlay) -> PointedPlay:
@@ -84,7 +85,7 @@ def ref_oview(play: PointedPlay) -> PointedPlay:
         j = next(k for k, pm in enumerate(seq) if pm.name == last.justifier)
         return ov(seq[:j]) + [seq[j], last]
 
-    return PointedPlay(tuple(ov(items)))
+    return tuple(ov(items))
 
 
 # --- per-position rule scans ---
@@ -169,7 +170,7 @@ def ref_check_concurrent(arena: Arena, play: PointedPlay) -> Verdict:
 def enumerate_justified(arena: Arena, max_len: int) -> list[PointedPlay]:
     """Every justified sequence (well-opened) of length <= max_len,
     including the empty play, built constructively."""
-    out = [PointedPlay()]
+    out = [()]
 
     def extend(play: PointedPlay):
         if len(play) >= max_len:
@@ -184,18 +185,18 @@ def enumerate_justified(arena: Arena, max_len: int) -> list[PointedPlay]:
                 if enables(pm.move, m)
             ]
         for move, justifier in candidates:
-            bigger = play.append(move, justifier)
+            bigger = play + (PointedMove(move, len(play), justifier),)
             out.append(bigger)
             extend(bigger)
 
-    extend(PointedPlay())
+    extend(())
     return out
 
 
 def enumerate_ref_legal(arena: Arena, checker, max_len: int) -> list[PointedPlay]:
     """Legal plays only, filtered by a reference checker; prune on prefixes
     (legality is prefix-closed, which the property tests verify separately)."""
-    out = [PointedPlay()]
+    out = [()]
 
     def extend(play: PointedPlay):
         if len(play) >= max_len:
@@ -210,12 +211,12 @@ def enumerate_ref_legal(arena: Arena, checker, max_len: int) -> list[PointedPlay
                 if enables(pm.move, m)
             ]
         for move, justifier in candidates:
-            bigger = play.append(move, justifier)
+            bigger = play + (PointedMove(move, len(play), justifier),)
             if checker(arena, bigger).legal:
                 out.append(bigger)
                 extend(bigger)
 
-    extend(PointedPlay())
+    extend(())
     return out
 
 
@@ -229,7 +230,7 @@ def brute_force_extensions(arena: Arena, lang: str, play: PointedPlay):
     justifiers = [None] + [pm.name for pm in play]
     for move in arena.moves:
         for j in justifiers:
-            if checker(arena, play.append(move, j)).legal:
+            if checker(arena, play + (PointedMove(move, len(play), j),)).legal:
                 found.add((move, j))
     return found
 

@@ -37,6 +37,10 @@ def type_trees(max_leaves=12):
     )
 
 
+def node_count(tree: TypeTree) -> int:
+    return 1 + sum(node_count(a) for a in tree.args)
+
+
 def all_trees_with_nodes(n: int) -> list[TypeTree]:
     if n == 1:
         return [LEAF]
@@ -210,7 +214,7 @@ class TestMakeArena:
 
     def test_width5_order3_size(self):
         tree = uniform_tree(3, 5)
-        assert tree.node_count() == 1 + 5 + 25 + 125
+        assert node_count(tree) == 1 + 5 + 25 + 125
         assert len(make_arena(tree)) == 312
 
     def test_deep_enabler(self):
@@ -228,7 +232,7 @@ class TestMakeArena:
     @given(type_trees())
     def test_move_count_and_single_initial(self, tree):
         arena = make_arena(tree)
-        assert len(arena) == 2 * tree.node_count()
+        assert len(arena) == 2 * node_count(tree)
         initials = [m for m, e in zip(arena.moves, arena.enabler_idx) if e is None]
         assert initials == [arena.initial]
 

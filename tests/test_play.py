@@ -15,7 +15,7 @@ from playlab.arena import (
     parse_type,
     uniform_tree,
 )
-from playlab.corpus import generate_corpus, perturb_corpus
+from playlab.corpus import generate_corpus, is_complete, perturb_corpus
 from playlab.play import (
     ALTERNATION,
     BRACKETING,
@@ -27,7 +27,6 @@ from playlab.play import (
     SEQUENTIAL,
     VISIBILITY,
     PointedMove,
-    PointedPlay,
     SearchBudgetExceeded,
     Verdict,
     _PlayState,
@@ -37,7 +36,6 @@ from playlab.play import (
     format_pointed,
     justification_assignments,
     parse_pointed_file,
-    pending_questions,
     reconstruction_verdict,
 )
 
@@ -78,17 +76,17 @@ def grow_random_play(arena, lang, draw, max_len):
 
 def next_movers_view(play):
     """Positions of the reference view of the player to move next, right to left."""
-    last = play.items[-1].move if play.items else None
+    last = play[-1].move if play else None
     mover = PROPONENT if last and move_player(last) == OPPONENT else OPPONENT
     view = ref_pview(play) if mover == PROPONENT else ref_oview(play)
-    return tuple(pm.name for pm in reversed(view.items))
+    return tuple(pm.name for pm in reversed(view))
 
 
 def stored_view(state, player):
     """``player``'s view of a seq state's play, positions right to left, read
     off ``views``: the next mover's is stored last, and the last mover's is
     its last move before the view stored for it one move earlier."""
-    if not len(state) or state.occ_player[-1] != player:
+    if not len(state) or state.arena.player[state.occ_move[-1]] != player:
         return state.views[-1]
     return (len(state) - 1,) + state.views[-2]
 
@@ -105,9 +103,7 @@ class TestCheckJustified:
             assert check(unit_arena, play) == Verdict.ok()
 
     def test_self_pointer(self, unit_arena):
-        play = PointedPlay(
-            (PointedMove(parse_token("q@ε"), 0, None), PointedMove(parse_token("a@ε"), 1, 1))
-        )
+        play = (PointedMove(parse_token("q@ε"), 0, None), PointedMove(parse_token("a@ε"), 1, 1))
         for check in CHECKERS:
             assert check(unit_arena, play) == Verdict.fail(JUSTIFICATION, 1)
 
@@ -117,9 +113,7 @@ class TestCheckJustified:
             assert check(unit_arena, play) == Verdict.fail(JUSTIFICATION, 0)
 
     def test_duplicate_name(self, unit_arena):
-        play = PointedPlay(
-            (PointedMove(parse_token("q@ε"), 0, None), PointedMove(parse_token("a@ε"), 0, 0))
-        )
+        play = (PointedMove(parse_token("q@ε"), 0, None), PointedMove(parse_token("a@ε"), 0, 0))
         for check in CHECKERS:
             assert check(unit_arena, play) == Verdict.fail(JUSTIFICATION, 1)
 
@@ -162,10 +156,10 @@ class TestViews:
         # any play ending in a proponent move justified by n: the oview
         # ends [justifier move, the move itself]
         for play in enumerate_ref_legal(two_arg_arena, ref_check_sequential, 5):
-            if not play.items or move_player(play.items[-1].move) != PROPONENT:
+            if not play or move_player(play[-1].move) != PROPONENT:
                 continue
             state = replayed_state(two_arg_arena, SEQUENTIAL, play)
-            assert stored_view(state, OPPONENT)[:2] == (len(play) - 1, play.items[-1].justifier)
+            assert stored_view(state, OPPONENT)[:2] == (len(play) - 1, play[-1].justifier)
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS)
     def test_views_match_recursive_clauses(self, spec):
@@ -173,14 +167,14 @@ class TestViews:
         for play in enumerate_ref_legal(arena, ref_check_sequential, 5):
             state = replayed_state(arena, SEQUENTIAL, play)
             for player, ref in ((PROPONENT, ref_pview), (OPPONENT, ref_oview)):
-                names = tuple(pm.name for pm in reversed(ref(play).items))
+                names = tuple(pm.name for pm in reversed(ref(play)))
                 assert stored_view(state, player) == names
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS[1:])
     def test_views_are_subsequences_ending_at_last_move(self, spec):
         arena = make_arena(parse_type(spec))
         for play in enumerate_ref_legal(arena, ref_check_sequential, 6):
-            if not play.items:
+            if not play:
                 continue
             state = replayed_state(arena, SEQUENTIAL, play)
             for player in (PROPONENT, OPPONENT):
@@ -190,20 +184,26 @@ class TestViews:
 
 
 class TestPendingQuestions:
+    """Whether questions are pending, as ``is_complete`` reads it off a legal
+    play, against the reference list of pending questions."""
+
     def test_single_question(self):
-        assert pending_questions(play_of(("q@ε", None))) == [0]
+        assert not is_complete(play_of(("q@ε", None)))
 
     def test_seq_composition_prefix(self):
-        assert pending_questions(SEQ_COMPOSITION_PLAY[:3]) == [0]
+        assert not is_complete(SEQ_COMPOSITION_PLAY[:3])
+        assert is_complete(SEQ_COMPOSITION_PLAY)
 
     def test_par_composition_prefix(self):
-        assert pending_questions(PAR_COMPOSITION_PLAY[:3]) == [0, 1, 2]
+        assert not is_complete(PAR_COMPOSITION_PLAY[:3])
+        assert is_complete(PAR_COMPOSITION_PLAY)
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS)
     def test_matches_reference(self, spec):
         arena = make_arena(parse_type(spec))
-        for play in enumerate_justified(arena, 5):
-            assert pending_questions(play) == ref_pending(play)
+        for ref in (ref_check_sequential, ref_check_concurrent):
+            for play in enumerate_ref_legal(arena, ref, 5):
+                assert is_complete(play) == (ref_pending(play) == [])
 
 
 class TestCheckSequential:
@@ -238,7 +238,7 @@ class TestCheckSequential:
         assert check_concurrent(order2_arena, play).rule == FORK
 
     def test_empty_play_legal(self, unit_arena):
-        assert check_sequential(unit_arena, PointedPlay()).legal
+        assert check_sequential(unit_arena, ()).legal
 
 
 class TestCheckConcurrent:
@@ -257,7 +257,7 @@ class TestCheckConcurrent:
         assert check_concurrent(arrow_arena, play) == Verdict.fail(JOIN, 2)
 
     def test_empty_play_legal(self, unit_arena):
-        assert check_concurrent(unit_arena, PointedPlay()).legal
+        assert check_concurrent(unit_arena, ()).legal
 
 
 class TestOracleEquivalence:
@@ -331,7 +331,7 @@ class TestPlayState:
         ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
         for play in enumerate_ref_legal(arena, ref, 5):
             state = replayed_state(arena, lang, play)
-            if not play.items:
+            if not play:
                 enabled = [(arena.initial_idx, -1)]
             else:
                 enabled = [
@@ -419,7 +419,7 @@ class TestPointedText:
 
     def test_round_trip(self, two_arg_arena):
         for play in enumerate_ref_legal(two_arg_arena, ref_check_sequential, 4):
-            assert parse_pointed_file(format_pointed(play)) == ([play] if play.items else [])
+            assert parse_pointed_file(format_pointed(play)) == ([play] if play else [])
 
     def test_parse_file_blocks(self):
         text = format_pointed(SEQ_COMPOSITION_PLAY) + "\n" + format_pointed(
@@ -513,7 +513,7 @@ class TestJustificationAssignments:
                 justification_assignments(arrow_arena, CONCURRENT, tokens, limit=limit)
 
     def test_empty_tokens(self, unit_arena):
-        assert justification_assignments(unit_arena, SEQUENTIAL, []) == [PointedPlay()]
+        assert justification_assignments(unit_arena, SEQUENTIAL, []) == [()]
 
     @pytest.mark.parametrize("bad", ["q@9", "x"])
     def test_unknown_token(self, arrow_arena, bad):
@@ -657,7 +657,8 @@ class TestDeadStateMemo:
             [None] if i == 0 else [j for j in range(i) if at[j] == order2_arena.enabler_idx[mi]]
             for i, mi in enumerate(at)
         ]
-        legal = {play for play in (PointedPlay.from_pairs(list(zip(moves, js)))
+        legal = {play for play in (tuple(PointedMove(m, i, j)
+                                         for i, (m, j) in enumerate(zip(moves, js)))
                                    for js in itertools.product(*choices))
                  if ref_check_concurrent(order2_arena, play).legal}
         found = justification_assignments(order2_arena, CONCURRENT, tokens.split(), limit=10**6)
