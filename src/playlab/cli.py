@@ -259,6 +259,7 @@ def main(argv=None) -> int:
         UnknownMoveError,
         OSError,
         ArithmeticError,  # FloatingPointError when training diverges
+        MemoryError,  # a model too large to allocate
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

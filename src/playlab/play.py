@@ -24,15 +24,16 @@ reporting the first rule the move breaks:
 checkers are replays.  ``_PlayState.extensions`` builds the same legal moves
 constructively, for the generator, and ``_PlayState.justifiers`` those of
 one move, for the pointer search; both ``push`` and ``pop`` one state.  A
-sequential state keeps the next mover's view (Hyland and Ong) of each
-prefix, one tuple built from its justifier's in ``push``; these are the
-only views computed, and no rule walks the play.  Fork and join follow
-Ghica and Murawski's concurrent plays.  The pointer search backtracks
-straight to the deepest token with an untried choice and ends once no token
-has one; the concurrent search also remembers dead states by their pending
-forest up to isomorphism (the AHU canonical form; Aho, Hopcroft and
-Ullman).  ``reconstruction_verdict`` is the one reading of a search's
-outcome, for ``check`` and ``perturb --require-illegal``.
+sequential state keeps, for each prefix, the last mover's occurrences in the
+next mover's view (Hyland and Ong): the view alternates players, so these
+are all the next move may point at.  ``push`` builds each from its
+justifier's; these are the only views computed, and no rule walks the play.
+Fork and join follow Ghica and Murawski's concurrent plays.  The pointer
+search backtracks straight to the deepest token with an untried choice and
+ends once no token has one; the concurrent search also remembers dead states
+by their pending forest up to isomorphism (the AHU canonical form; Aho,
+Hopcroft and Ullman).  ``reconstruction_verdict`` is the one reading of a
+search's outcome, for ``check`` and ``perturb --require-illegal``.
 """
 
 from __future__ import annotations
@@ -41,13 +42,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arena import (
-    OPPONENT,
-    PROPONENT,
-    Arena,
-    MoveId,
-    parse_token,
-)
+from .arena import PROPONENT, Arena, MoveId, parse_token
 
 SEQUENTIAL = "seq"
 CONCURRENT = "conc"
@@ -147,9 +142,12 @@ class _PlayState:
         self.occ_just: list[int] = []  # justifier occurrence, -1 for the opener
         self.pending: list[int] = []  # unanswered question occurrences, oldest first
         self.open_children: list[int] = []  # unanswered questions spawned per occurrence
-        # seq only: views[n] is the next mover's view of the first n moves,
-        # positions right to left.  The plays a state holds alternate, so the
-        # last move is the other player's and the view jumps to its justifier
+        # seq only: views[n] is the last mover's occurrences in the next
+        # mover's view of the first n moves, oldest first: the view alternates
+        # players, so these are all the next move may point at.  That view is
+        # the next mover's view before the last move's justifier, then the
+        # justifier and the last move, so views[n] is views[justifier] and
+        # the last move
         self.views: list[tuple[int, ...]] = [()]
 
     def __len__(self) -> int:
@@ -193,7 +191,7 @@ class _PlayState:
             if parent >= 0:
                 self.open_children[parent] -= 1
         if self.lang == SEQUENTIAL:
-            self.views.append((k, justifier) + self.views[justifier] if justifier >= 0 else (k,))
+            self.views.append(self.views[justifier] + (k,) if justifier >= 0 else (k,))
 
     def pop(self) -> None:
         """Undo the last ``push``.  ``pending`` is kept in occurrence order,
@@ -222,18 +220,13 @@ class _PlayState:
         exts: list[tuple[int, int]] = []
         if self.lang == SEQUENTIAL:
             occ_move = self.occ_move
-            mover = PROPONENT if arena.player[occ_move[-1]] == OPPONENT else OPPONENT
             view = self.views[-1]
-            # the view alternates players, the other player's last move first:
-            # the mover asks the child questions of every other entry
-            for occ in view[::2]:
+            for occ in view:
                 for child in arena.child_questions[occ_move[occ]]:
                     exts.append((child, occ))
-            if self.pending:
+            if self.pending and self.pending[-1] in view:
                 occ = self.pending[-1]
-                answer = arena.answer_of[occ_move[occ]]
-                if arena.player[answer] == mover and occ in view:
-                    exts.append((answer, occ))
+                exts.append((arena.answer_of[occ_move[occ]], occ))
         else:
             for occ in self.pending:
                 mi = self.occ_move[occ]
@@ -253,11 +246,9 @@ class _PlayState:
         enabler = arena.enabler_idx[move_idx]
         occ_move = self.occ_move
         if self.lang == SEQUENTIAL:
-            if arena.player[move_idx] == arena.player[occ_move[-1]]:
-                return []
             view = self.views[-1]
             if arena.is_question[move_idx]:
-                return [(move_idx, occ) for occ in reversed(view) if occ_move[occ] == enabler]
+                return [(move_idx, occ) for occ in view if occ_move[occ] == enabler]
             pending = self.pending
             if pending and occ_move[pending[-1]] == enabler and pending[-1] in view:
                 return [(move_idx, pending[-1])]
@@ -346,16 +337,15 @@ def justification_assignments(
     ``limit``) of assigning justifiers so the result is legal in ``lang``.
 
     Token order is kept; the search walks legal extensions only, so every
-    returned play is legal by construction.  It keeps a stack of the tokens
-    with untried choices, backtracks straight to the deepest of them (a
-    forced token is not revisited) and returns once the stack is empty, so a
-    play with no choice point costs one replay.  In ``conc`` the rest of a play
-    depends only on the token reached and the pending forest, so a state
-    whose subtree added no result is remembered by those and not searched
-    again.  Only states with two or more choices are keyed: a forced or
-    dead-ended token costs less to search again than to key.  Raises
-    SearchBudgetExceeded once it has explored more than ``SEARCH_BUDGET``
-    extensions.
+    returned play is legal by construction.  It keeps a stack of the choice
+    points, the tokens with two or more choices; it backtracks straight to
+    the deepest with a choice left (a forced token is not revisited) and
+    returns once none has, so a play with no choice point costs one replay.
+    In ``conc`` the rest of a play depends only on the token reached and the
+    pending forest, so a choice point whose subtree added no result is
+    remembered by those and not searched again; a forced or dead-ended token
+    costs less to search again than to key.  Raises SearchBudgetExceeded
+    once it has explored more than ``SEARCH_BUDGET`` extensions.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -365,9 +355,10 @@ def justification_assignments(
     state = _PlayState(arena, lang)
     memo = lang == CONCURRENT
     dead = set()  # conc: (token, pending forest) of states that led to no result
-    entered = []  # entered[k]: token k's memo key (or None), and the result count on reaching it
-    branches = []  # (token, its untried choices, last first) of tokens with one left, deepest last
-    while True:  # the state holds one move per entry of entered
+    # one frame per choice point on the current path, deepest last: its token,
+    # untried choices (last first), memo key (or None) and results on entry
+    frames = []
+    while True:
         k = len(state)
         choices = []
         if k == len(want):
@@ -376,25 +367,23 @@ def justification_assignments(
                 return results
         else:
             choices = state.justifiers(want[k])
-            key = (k, state.pending_forest()) if memo and len(choices) > 1 else None
-            if key in dead:
-                choices = []
-            entered.append((key, len(results)))
+            if len(choices) > 1:
+                key = (k, state.pending_forest()) if memo else None
+                if key in dead:
+                    choices = []
+                else:
+                    frames.append((k, choices[:0:-1], key, len(results)))
         if choices:
             choice = choices[0]
-            if len(choices) > 1:
-                branches.append((k, choices[:0:-1]))
-        else:  # backtrack to the deepest token with a choice left
-            if not branches:
-                return results
-            k, untried = branches[-1]
-            choice = untried.pop()
-            if not untried:
-                branches.pop()
-            for key, found in entered[k + 1:]:
+        else:  # backtrack to the deepest choice point with a choice left
+            while frames and not frames[-1][1]:  # spent: dead if it added no result
+                _, _, key, found = frames.pop()
                 if key is not None and found == len(results):
                     dead.add(key)
-            del entered[k + 1:]
+            if not frames:
+                return results
+            k, untried, _, _ = frames[-1]
+            choice = untried.pop()
             for _ in range(len(state) - k):
                 state.pop()
         spent += 1

@@ -365,6 +365,17 @@ class TestTrainEval:
         )
         assert not (tmp_path / "m.model").exists()
 
+    def test_model_too_large_to_allocate_is_domain_error(self, tmp_path, capsys):
+        # 2.13 PiB of parameters: past the address space, so numpy's
+        # allocation fails at once without touching memory
+        corpus_path = gen_corpus(tmp_path, arena="unit -> unit", count=50)
+        code = main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "m.bin"),
+                     "--seed", "0", "--hidden-dim", "5000000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: Unable to allocate [^\n]*\n", err), err
+        assert not (tmp_path / "m.bin").exists()
+
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would print a second line
     @pytest.mark.parametrize("diverge", DIVERGING)
     def test_diverging_train_is_domain_error(self, tmp_path, capsys, monkeypatch, diverge):

@@ -74,21 +74,28 @@ def grow_random_play(arena, lang, draw, max_len):
     return state
 
 
+def names(view):
+    return tuple(pm.name for pm in view)
+
+
 def next_movers_view(play):
-    """Positions of the reference view of the player to move next, right to left."""
+    """The reference view of the player to move next, oldest first."""
     last = play[-1].move if play else None
     mover = PROPONENT if last and move_player(last) == OPPONENT else OPPONENT
-    view = ref_pview(play) if mover == PROPONENT else ref_oview(play)
-    return tuple(pm.name for pm in reversed(view))
+    return ref_pview(play) if mover == PROPONENT else ref_oview(play)
 
 
-def stored_view(state, player):
-    """``player``'s view of a seq state's play, positions right to left, read
-    off ``views``: the next mover's is stored last, and the last mover's is
-    its last move before the view stored for it one move earlier."""
-    if not len(state) or state.arena.player[state.occ_move[-1]] != player:
-        return state.views[-1]
-    return (len(state) - 1,) + state.views[-2]
+def last_movers_entries(view, play):
+    """Positions of ``view``'s entries by the player who moved last in
+    ``play``, oldest first."""
+    last = move_player(play[-1].move) if play else None
+    return tuple(pm.name for pm in view if move_player(pm.move) == last)
+
+
+def stored_half_view(play):
+    """What a seq state holding ``play`` stores last in ``views``: the last
+    mover's entries in the next mover's reference view."""
+    return last_movers_entries(next_movers_view(play), play)
 
 
 CHECKERS = (check_sequential, check_concurrent)
@@ -129,28 +136,42 @@ class TestCheckJustified:
 
 
 class TestViews:
-    """The views a seq state stores, read for both players by ``stored_view``."""
+    """The reference views, and the part of the next mover's that a seq
+    state stores in ``views``."""
 
     def test_pview_empty(self, unit_arena):
-        assert stored_view(_PlayState(unit_arena, SEQUENTIAL), PROPONENT) == ()
+        assert ref_pview(()) == ()
+        stored = _PlayState(unit_arena, SEQUENTIAL).views[-1]
+        assert stored == last_movers_entries(ref_pview(()), ()) == ()
 
     def test_oview_empty(self, unit_arena):
-        assert stored_view(_PlayState(unit_arena, SEQUENTIAL), OPPONENT) == ()
+        assert ref_oview(()) == ()
+        stored = _PlayState(unit_arena, SEQUENTIAL).views[-1]
+        assert stored == last_movers_entries(ref_oview(()), ()) == ()
 
     def test_pview_single_opening(self, unit_arena):
-        state = replayed_state(unit_arena, SEQUENTIAL, play_of(("q@ε", None)))
-        assert stored_view(state, PROPONENT) == (0,)
-        assert stored_view(state, OPPONENT) == (0,)
+        play = play_of(("q@ε", None))
+        assert names(ref_pview(play)) == (0,)
+        assert names(ref_oview(play)) == (0,)
+        # the proponent moves next
+        state = replayed_state(unit_arena, SEQUENTIAL, play)
+        assert state.views[-1] == last_movers_entries(ref_pview(play), play) == (0,)
 
     def test_pview_of_seq_composition_is_whole_play(self, two_arg_arena):
-        state = replayed_state(two_arg_arena, SEQUENTIAL, SEQ_COMPOSITION_PLAY)
-        assert stored_view(state, PROPONENT) == (5, 4, 3, 2, 1, 0)
+        play = SEQ_COMPOSITION_PLAY
+        assert names(ref_pview(play)) == (0, 1, 2, 3, 4, 5)
+        # the proponent moved last; the opponent's view is the opener and a@ε
+        state = replayed_state(two_arg_arena, SEQUENTIAL, play)
+        assert state.views[-1] == stored_half_view(play) == (5,)
 
     def test_pview_restarts_at_opening(self, two_arg_arena):
         # after the first argument completes, the opponent's view still
         # reaches back through the opening move
-        state = replayed_state(two_arg_arena, SEQUENTIAL, SEQ_COMPOSITION_PLAY[:3])
-        assert stored_view(state, OPPONENT) == (2, 1, 0)
+        play = SEQ_COMPOSITION_PLAY[:3]
+        assert names(ref_oview(play)) == (0, 1, 2)
+        # the opponent moved last; the proponent's view is the same three moves
+        state = replayed_state(two_arg_arena, SEQUENTIAL, play)
+        assert state.views[-1] == stored_half_view(play) == (0, 2)
 
     def test_oview_ends_with_justifier_then_move(self, two_arg_arena):
         # any play ending in a proponent move justified by n: the oview
@@ -158,17 +179,17 @@ class TestViews:
         for play in enumerate_ref_legal(two_arg_arena, ref_check_sequential, 5):
             if not play or move_player(play[-1].move) != PROPONENT:
                 continue
+            oview = ref_oview(play)
+            assert names(oview)[-2:] == (play[-1].justifier, len(play) - 1)
             state = replayed_state(two_arg_arena, SEQUENTIAL, play)
-            assert stored_view(state, OPPONENT)[:2] == (len(play) - 1, play[-1].justifier)
+            assert state.views[-1] == last_movers_entries(oview, play)
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS)
     def test_views_match_recursive_clauses(self, spec):
         arena = make_arena(parse_type(spec))
         for play in enumerate_ref_legal(arena, ref_check_sequential, 5):
             state = replayed_state(arena, SEQUENTIAL, play)
-            for player, ref in ((PROPONENT, ref_pview), (OPPONENT, ref_oview)):
-                names = tuple(pm.name for pm in reversed(ref(play)))
-                assert stored_view(state, player) == names
+            assert state.views == [stored_half_view(play[:n]) for n in range(len(play) + 1)]
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS[1:])
     def test_views_are_subsequences_ending_at_last_move(self, spec):
@@ -176,11 +197,10 @@ class TestViews:
         for play in enumerate_ref_legal(arena, ref_check_sequential, 6):
             if not play:
                 continue
-            state = replayed_state(arena, SEQUENTIAL, play)
-            for player in (PROPONENT, OPPONENT):
-                view = stored_view(state, player)
-                assert list(view) == sorted(set(view), reverse=True)  # subsequence
-            assert stored_view(state, PROPONENT)[0] == len(play) - 1
+            stored = replayed_state(arena, SEQUENTIAL, play).views[-1]
+            for view in (names(ref_pview(play)), names(ref_oview(play)), stored):
+                assert list(view) == sorted(set(view))  # subsequence
+                assert view[-1] == len(play) - 1
 
 
 class TestPendingQuestions:
@@ -376,7 +396,8 @@ class TestPlayState:
     def test_stored_view_is_the_next_movers_view(self, spec):
         arena = make_arena(parse_type(spec))
         for play in enumerate_ref_legal(arena, ref_check_sequential, 6):
-            assert replayed_state(arena, SEQUENTIAL, play).views[-1] == next_movers_view(play)
+            state = replayed_state(arena, SEQUENTIAL, play)
+            assert state.views == [stored_half_view(play[:n]) for n in range(len(play) + 1)]
 
     def test_pending_forest_is_canonical(self, two_arg_arena):
         # q@1 forked twice and q@2 once under the opener, in either order
@@ -408,7 +429,7 @@ class TestRandomPlays:
         ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
         assert ref(arena, play).legal
         if lang == SEQUENTIAL:
-            assert state.views[-1] == next_movers_view(play)
+            assert state.views == [stored_half_view(play[:n]) for n in range(len(play) + 1)]
 
 
 class TestPointedText:
@@ -621,6 +642,21 @@ class TestDeadStateMemo:
         verdicts = [reconstruction_verdict(arena, CONCURRENT, tokens) for tokens in plays]
         assert "ambiguous (search budget exceeded)" not in verdicts
         assert Counter(verdicts) == counts
+
+    @pytest.mark.parametrize("order, keys, pushes", [(1, 188, 713), (2, 19407, 33654)])
+    def test_probe_searches_do_pinned_work(self, order, keys, pushes, monkeypatch):
+        # memo keys built and moves pushed over a probe corpus at the full
+        # budget: a change that explores or keys other states shows here
+        arena, plays = self.probe_plays(order)
+        calls = Counter()
+        for name in ("pending_forest", "push"):
+            def counted(state, *args, _name=name, _method=getattr(_PlayState, name)):
+                calls[_name] += 1
+                return _method(state, *args)
+            monkeypatch.setattr(_PlayState, name, counted)
+        for tokens in plays:
+            reconstruction_verdict(arena, CONCURRENT, tokens)
+        assert (calls["pending_forest"], calls["push"]) == (keys, pushes)
 
     def test_budget_play_is_decided_within_a_small_budget(self, monkeypatch):
         # play 30 of the o1w5 probe ran past 1,000,000 extensions unmemoised
