@@ -174,19 +174,20 @@ class MoveId:
 
 
 def parse_token(token: str) -> MoveId:
-    """Inverse of ``MoveId.token``: ``q@ε``, ``a@1.2``, ..."""
+    """Inverse of ``MoveId.token``: ``q@ε``, ``a@1.2``, ...  Only the
+    spelling ``token`` renders is accepted (not ``q@01``, ``q@+1``,
+    ``q@1_0`` or other digits ``int`` reads)."""
     kind, sep, rest = token.partition("@")
     if not sep or kind not in (QUESTION, ANSWER):
         raise ValueError(f"malformed move token {token!r}")
-    if rest == "ε":
-        return MoveId((), kind)
     try:
-        path = tuple(int(p) for p in rest.split("."))
+        path = () if rest == "ε" else tuple(int(p) for p in rest.split("."))
     except ValueError:
         raise ValueError(f"malformed move token {token!r}") from None
-    if not path or any(p < 1 for p in path):
+    move = MoveId(path, kind)
+    if any(p < 1 for p in path) or move.token != token:
         raise ValueError(f"malformed move token {token!r}")
-    return MoveId(path, kind)
+    return move
 
 
 def move_player(move: MoveId) -> str:

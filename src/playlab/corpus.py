@@ -16,7 +16,7 @@ import numpy as np
 from .arena import ANSWER, Arena, TypeSyntaxError, make_arena, parse_type, render_type
 from .fileio import write_atomic
 from .play import ILLEGAL, LANGUAGES, PointedPlay, _PlayState, reconstruction_verdict
-from .rng import rekey, substream
+from .rng import Draws, rekey, substream
 
 EOP = "$"
 
@@ -71,14 +71,15 @@ class Corpus:
 
 
 def generate_play(
-    arena: Arena, lang: str, max_len: int, rng: np.random.Generator
+    arena: Arena, lang: str, max_len: int, rng: np.random.Generator | Draws
 ) -> PointedPlay:
     """One random legal play of length <= max_len.
 
     Each step first offers to stop (probability ``P_STOP``) when the play is
     nonempty and has no pending questions, then appends a uniform choice
     among the legal extensions; generation also stops when no extension
-    exists or the length cap is reached.
+    exists or the length cap is reached.  ``rng`` is a Generator or a
+    ``Draws`` over one; both draw the same play from the same stream.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -118,21 +119,25 @@ def generate_corpus(
     """``count`` independent plays; play i is drawn from substream (seed, i).
 
     With ``complete_only`` each substream re-rolls until the play has no
-    pending questions.  Plays of either language can stop at ``max_len``
-    with questions pending, sequential ones too (most seq o2w5 plays do).
+    pending questions, so it needs ``max_len >= 2`` (a question and its
+    answer).  Plays of either language can stop at ``max_len`` with
+    questions pending, sequential ones too (most seq o2w5 plays do).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if complete_only and max_len < 2:
+        raise ValueError(f"a complete play needs max_len >= 2, got {max_len}")
     plays = []
     rng = substream(seed)
     for i in range(count):
         rekey(rng, seed, i)
-        play = generate_play(arena, lang, max_len, rng)
+        draws = Draws(rng)
+        play = generate_play(arena, lang, max_len, draws)
         if complete_only:
             for _ in range(1000):
                 if is_complete(play):
                     break
-                play = generate_play(arena, lang, max_len, rng)
+                play = generate_play(arena, lang, max_len, draws)
             else:
                 raise ValueError(f"no complete play found for substream ({seed}, {i})")
         plays.append(elide(play))
@@ -227,7 +232,7 @@ def levenshtein(a: TokenSeq, b: TokenSeq) -> int:
 
 
 def perturb(
-    seq: TokenSeq, vocab: Vocab, ratio: float, rng: np.random.Generator
+    seq: TokenSeq, vocab: Vocab, ratio: float, rng: np.random.Generator | Draws
 ) -> TokenSeq:
     """Apply k = max(1, floor(ratio * len)) random single-token edits.
 
@@ -235,6 +240,7 @@ def perturb(
     once nothing is left to delete or substitute), positions uniformly, and
     replacement tokens uniformly from the arena vocabulary; EOP is neither
     edited nor inserted.  The edit distance to the input is at most k.
+    ``rng`` is a Generator or a ``Draws`` over one, with equal results.
     """
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
@@ -272,8 +278,9 @@ def perturb_corpus(
     rng = substream(seed)
     for i, seq in enumerate(corpus.plays):
         rekey(rng, seed, i)
+        draws = Draws(rng)
         try:
-            mutated = perturb(seq, vocab, ratio, rng)
+            mutated = perturb(seq, vocab, ratio, draws)
         except ValueError as e:  # an empty play (or a bad ratio, raised at play 1)
             raise ValueError(f"play {i + 1}: {e}") from None
         if require_illegal:
@@ -281,7 +288,7 @@ def perturb_corpus(
                 verdict = reconstruction_verdict(arena, corpus.language, _core(mutated), limit=1)
                 if verdict == ILLEGAL:
                     break
-                mutated = perturb(seq, vocab, ratio, rng)
+                mutated = perturb(seq, vocab, ratio, draws)
             else:
                 raise ValueError(f"play {i + 1}: no illegal perturbation in {MAX_ATTEMPTS} tries")
         out.append(mutated)

@@ -121,7 +121,8 @@ class TestMoveTokens:
         move = MoveId(tuple(path), kind)
         assert parse_token(move.token) == move
 
-    @pytest.mark.parametrize("bad", ["q", "x@1", "q@0", "q@1..2", "q@", "q@-1", "q@a"])
+    @pytest.mark.parametrize("bad", ["q", "x@1", "q@0", "q@1..2", "q@", "q@-1", "q@a",
+                                     "q@01", "q@+1", "q@1_0", "q@１", "a@1.02"])
     def test_malformed_tokens(self, bad):
         with pytest.raises(ValueError):
             parse_token(bad)

@@ -81,6 +81,13 @@ class TestGen:
         for seq in read_corpus(path).plays:
             assert seq.count("q@ε") == seq.count("a@ε") == 1
 
+    def test_complete_only_needs_two_moves(self, capsys):
+        assert main(["gen", "--arena", TWO_ARG, "--lang", "seq", "--count", "2",
+                     "--max-len", "1", "--seed", "0", "--complete-only"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a complete play needs max_len >= 2, got 1\n"
+
     def test_bad_type_is_domain_error(self, capsys):
         assert main(["gen", "--arena", "unit -> bool", "--lang", "seq",
                      "--count", "1", "--seed", "0"]) == 1
@@ -234,6 +241,14 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: play 2: move q@9 is not a move of this arena\n"
+
+    def test_non_canonical_pointed_token_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "plays.txt"
+        path.write_text("q@ε 0 *\nq@01 1 0\n", encoding="utf-8")
+        assert main(["check", str(path), "--arena", "unit -> unit", "--lang", "seq"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: malformed move token 'q@01' in 'q@01 1 0'\n"
 
     def test_pointed_file_needs_arena_and_lang(self, tmp_path, capsys):
         path = tmp_path / "plays.txt"

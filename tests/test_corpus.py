@@ -94,10 +94,15 @@ class TestElide:
 
 
 class TestGenerateCorpus:
-    def test_single_play_equals_substream_zero(self, arrow_arena):
-        corpus = generate_corpus(arrow_arena, SEQUENTIAL, 1, 20, seed=42)
-        direct = generate_play(arrow_arena, SEQUENTIAL, 20, substream(42, 0))
-        assert corpus.plays == [elide(direct)]
+    @pytest.mark.parametrize("lang", [SEQUENTIAL, CONCURRENT])
+    @pytest.mark.parametrize("count", [1, 30])
+    def test_single_play_equals_substream_zero(self, arrow_arena, lang, count):
+        # play i is what a fresh substream (seed, i) draws: nothing buffered
+        # in one play's draws leaks into the next
+        corpus = generate_corpus(arrow_arena, lang, count, 20, seed=42)
+        direct = [elide(generate_play(arrow_arena, lang, 20, substream(42, i)))
+                  for i in range(count)]
+        assert corpus.plays == direct
 
     def test_reproducible(self, order2_arena):
         a = generate_corpus(order2_arena, CONCURRENT, 30, 25, seed=8)
@@ -122,6 +127,14 @@ class TestGenerateCorpus:
         # raised by _PlayState, the one place that checks the language
         last = raised.traceback[-1]
         assert (last.name, Path(last.path).name) == ("__init__", "play.py")
+
+    def test_complete_only_needs_two_moves(self, arrow_arena, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew a play")
+
+        monkeypatch.setattr(playlab.corpus, "generate_play", refuse)
+        with pytest.raises(ValueError, match="max_len >= 2, got 1"):
+            generate_corpus(arrow_arena, SEQUENTIAL, 3, 1, seed=0, complete_only=True)
 
     def test_complete_only(self):
         arena = make_arena(uniform_tree(2, 2))
@@ -339,6 +352,13 @@ class TestPerturbCorpus:
         a = perturb_corpus(corpus, 0.1, seed=17)
         b = perturb_corpus(corpus, 0.1, seed=17)
         assert a.plays == b.plays
+
+    def test_play_i_equals_substream_i(self, order2_arena):
+        corpus = generate_corpus(order2_arena, SEQUENTIAL, 30, 30, seed=5)
+        vocab = build_vocab(order2_arena)
+        out = perturb_corpus(corpus, 0.1, seed=17)
+        assert out.plays == [perturb(seq, vocab, 0.1, substream(17, i))
+                             for i, seq in enumerate(corpus.plays)]
 
     def test_require_illegal(self, order2_arena):
         corpus = generate_corpus(order2_arena, SEQUENTIAL, 15, 30, seed=5)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from playlab.arena import make_arena, uniform_tree
 from playlab.corpus import generate_play
-from playlab.rng import derive_key, derive_seed, rekey, substream
+from playlab.rng import RAW_BLOCK, Draws, derive_key, derive_seed, rekey, substream
 
 
 class TestDeriveKey:
@@ -90,3 +92,31 @@ class TestRekey:
         fresh = substream(4, "next")
         assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
         assert _draws(rng) == _draws(fresh)
+
+
+# a call is random() (None) or integers(n); the bounds cover no draw (1),
+# the rejection loop at its busiest (2**31 + 1 rejects almost half of all
+# halves) and numpy's plain 32-bit path (2**32)
+CALLS = (None, 1, 2, 3, 5, 7, 63, 313, 2**31 + 1, 2**32 - 1, 2**32)
+
+
+class TestDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32),
+           st.lists(st.sampled_from(CALLS), min_size=3 * RAW_BLOCK, max_size=10 * RAW_BLOCK))
+    def test_equals_generator_call_for_call(self, seed, calls):
+        # each call but integers(1) uses at least half a word, so these
+        # sequences run through more than one block
+        assume(sum(n != 1 for n in calls) > 2 * RAW_BLOCK)
+        ref = substream(seed, "draws")
+        draws = Draws(substream(seed, "draws"))
+        for n in calls:
+            if n is None:
+                assert draws.random() == ref.random()
+            else:
+                assert draws.integers(n) == ref.integers(n)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_rejects_bounds_outside_32_bits(self, n):
+        with pytest.raises(ValueError):
+            Draws(substream(0)).integers(n)
