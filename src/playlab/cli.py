@@ -98,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid", choices=["desk", "full"], default="desk")
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--out-dir", default=".", help="output directory (default: .)")
-    run.add_argument("--threads", type=_positive_int, default=1)
+    run.add_argument("--threads", type=_positive_int, default=1,
+                     help="worker processes that run cells (default: 1, cells run in this one)")
     run.add_argument("--epochs", type=_positive_int, help="override the grid's epoch count")
 
     plot = sub.add_parser("plot", help="render figures from a report CSV")

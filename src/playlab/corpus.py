@@ -21,7 +21,6 @@ from .rng import Draws, rekey, substream
 EOP = "$"
 
 MAX_LEN = 50  # longest play the experiments and ``gen`` draw by default
-P_STOP = 0.05  # chance of stopping at each nonempty prefix with no pending question
 MAX_ATTEMPTS = 500  # re-rolls per play before perturb_corpus gives up on illegality
 PERTURB_RATIO = 0.1  # default share of a play's tokens that perturbation edits
 
@@ -75,19 +74,15 @@ def generate_play(
 ) -> PointedPlay:
     """One random legal play of length <= max_len.
 
-    Each step first offers to stop (probability ``P_STOP``) when the play is
-    nonempty and has no pending questions, then appends a uniform choice
-    among the legal extensions; generation also stops when no extension
-    exists or the length cap is reached.  ``rng`` is a Generator or a
-    ``Draws`` over one; both draw the same play from the same stream.
+    Each step appends a uniform choice among the legal extensions;
+    generation stops when no extension exists (as for every complete play)
+    or the length cap is reached.  ``rng`` is a Generator or a ``Draws``
+    over one; both draw the same play from the same stream.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     state = _PlayState(arena, lang)
     while len(state) < max_len:
-        if state.occ_move and not state.pending:
-            if rng.random() < P_STOP:
-                break
         exts = state.extensions()
         if not exts:
             break

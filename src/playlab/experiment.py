@@ -22,7 +22,6 @@ import csv
 import io
 import math
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -176,11 +175,49 @@ def run_cell(
     return results
 
 
+def _cost_order(cell: tuple[str, int, int, int]) -> tuple[int, int, bool]:
+    """Sort key, largest first, for a cell's expected run time: training
+    size, then arena size, then conc before seq (its plays run longer)."""
+    lang, order, width, size = cell
+    return size, len(make_arena(uniform_tree(order, width))), lang == CONCURRENT
+
+
+def _failure(label: str, e: Exception):
+    """The outcome of a cell that raised ``e``, called in its handler."""
+    kind = "out of memory" if isinstance(e, MemoryError) else type(e).__name__
+    return label, None, f"{kind}: {e}", traceback.format_exc().rstrip()
+
+
+def _cell_outcome(spec: ExperimentSpec, modes: tuple[str, ...], cell: tuple[str, int, int, int]):
+    """Run one cell; returns (label, results or None, error or None,
+    traceback text or None).  Module level so a worker process can run it;
+    ``run_cell`` is looked up when called, so a forked worker runs whatever
+    the parent's module holds."""
+    label = _label(*cell)
+    try:
+        return label, run_cell(spec, modes, *cell), None, None
+    except Exception as e:  # a failing cell is recorded, the others still run
+        return _failure(label, e)
+
+
 def run_grid(
     spec: ExperimentSpec, modes: tuple[str, ...], threads: int = 1, progress=None
 ) -> dict[str, Report]:
     """Run each grid cell once for all ``modes``; returns one Report per
-    mode.  A cell that raises is a failure in every report; the others run."""
+    mode, its cells in grid order.  A cell that raises is a failure in every
+    report; the others run.
+
+    ``threads`` is the number of worker processes.  With 1 every cell runs
+    in this process, in grid order.  With more, cells run in processes
+    forked from this one (so they compute with its BLAS thread count and
+    the same bits), at most one per cell, and are handed out largest first
+    so the longest cells do not start last.  Pin one BLAS thread
+    (``OPENBLAS_NUM_THREADS=1``) for more than one worker, or the workers'
+    BLAS thread pools oversubscribe the cores.  A worker that dies fails
+    the cells that have no result yet.  ``progress`` is only called here,
+    in the calling process: ``start`` when a cell is handed out, then its
+    result or failure when it ends.
+    """
     _check_modes(modes)
     cells = [
         (lang, order, width, size)
@@ -189,33 +226,55 @@ def run_grid(
         for width in spec.widths
         for size in spec.train_sizes
     ]
+    outcomes = {}
 
-    def one(cell):
-        label = _label(*cell)
+    def start(cell):
         if progress is not None:
-            progress(f"cell {label}: start")
-        try:
-            results = run_cell(spec, modes, *cell)
-        except Exception as e:  # a failing cell is recorded, the others still run
-            if progress is not None:
-                progress(f"cell {label}: failed\n{traceback.format_exc().rstrip()}")
-            kind = "out of memory" if isinstance(e, MemoryError) else type(e).__name__
-            return label, None, f"{kind}: {e}"
-        if progress is not None:
-            tests = " ".join(f"{mode}={r.test_ppl:.3f}" for mode, r in zip(modes, results))
-            progress(
-                f"cell {label}: train={results[0].train_ppl:.3f} "
-                f"validation={results[0].validation_ppl:.3f} {tests}"
-            )
-        return label, results, None
+            progress(f"cell {_label(*cell)}: start")
+
+    def finish(outcome):
+        label, results, error, trace = outcomes[outcome[0]] = outcome
+        if progress is None:
+            return
+        if error is not None:
+            progress(f"cell {label}: failed\n{trace}")
+            return
+        tests = " ".join(f"{mode}={r.test_ppl:.3f}" for mode, r in zip(modes, results))
+        progress(
+            f"cell {label}: train={results[0].train_ppl:.3f} "
+            f"validation={results[0].validation_ppl:.3f} {tests}"
+        )
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, cells))
+        # imported here: at module top they would add to every CLI call's start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork, not spawn: a worker starts without a fresh import and runs this
+        # process's functions at its BLAS thread count.  The pool forks all
+        # its workers before it starts a thread of its own
+        futures = {}
+        with ProcessPoolExecutor(min(threads, len(cells)),
+                                 multiprocessing.get_context("fork")) as pool:
+            for cell in sorted(cells, key=_cost_order, reverse=True):  # run in this order
+                start(cell)
+                try:
+                    futures[pool.submit(_cell_outcome, spec, modes, cell)] = cell
+                except BrokenProcessPool as e:  # a worker died before this cell was handed out
+                    finish(_failure(_label(*cell), e))
+            for future in as_completed(futures):
+                try:
+                    finish(future.result())
+                except BrokenProcessPool as e:  # a worker died: this cell has no result
+                    finish(_failure(_label(*futures[future]), e))
     else:
-        outcomes = [one(cell) for cell in cells]
+        for cell in cells:
+            start(cell)
+            finish(_cell_outcome(spec, modes, cell))
     reports = {mode: Report() for mode in modes}
-    for label, results, error in outcomes:
+    for cell in cells:
+        label, results, error, _ = outcomes[_label(*cell)]
         for i, mode in enumerate(modes):
             if error is None:
                 reports[mode].cells.append(results[i])

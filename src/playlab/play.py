@@ -99,6 +99,18 @@ def format_pointed(play: PointedPlay) -> str:
     return "\n".join(str(pm) for pm in play) + ("\n" if len(play) else "")
 
 
+def _decimal(text: str) -> int:
+    """A name or justifier, in the one spelling ``str`` renders (not ``+1``,
+    ``01``, ``0_0`` or other digits ``int`` reads)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(f"malformed number {text!r}")
+    return value
+
+
 def parse_pointed_file(text: str) -> list[PointedPlay]:
     """Pointed plays, one move per line; a blank (or all-whitespace) line
     ends a play.  Errors name the line of ``text``."""
@@ -114,8 +126,9 @@ def parse_pointed_file(text: str) -> list[PointedPlay]:
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'token name justifier', got {raw!r}")
         try:
-            justifier = None if parts[2] == "*" else int(parts[2])
-            items.append(PointedMove(parse_token(parts[0]), int(parts[1]), justifier))
+            move, name = parse_token(parts[0]), _decimal(parts[1])
+            justifier = None if parts[2] == "*" else _decimal(parts[2])
+            items.append(PointedMove(move, name, justifier))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e} in {raw!r}") from None
     return plays

@@ -14,12 +14,11 @@ one generator and re-keys it before each play, so it draws what a fresh
 ``substream`` per play would, without building a generator per play (numpy
 draws OS entropy for every new Philox, only for the key to override it).
 
-Corpus sampling draws through ``Draws``, which serves ``random()`` and
-``integers(n)`` from a re-keyed generator.  It computes them in Python from
-the stream's raw 64-bit Philox words, fetched in blocks, with the
-arithmetic of numpy's ``Generator`` (a double from the top 53 bits of a
-word; a bounded integer by Lemire's method from 32-bit halves, low half
-first), so it returns what the Generator would, call for call, at a
+Corpus sampling draws through ``Draws``, which serves ``integers(n)`` from
+a re-keyed generator.  It computes them in Python from the stream's raw
+64-bit Philox words, fetched in blocks, with the arithmetic of numpy's
+``Generator`` (Lemire's method on 32-bit halves, low half first), so it
+returns what the Generator would, call for call, at a
 fraction of the cost of a numpy call.  Corpora thus depend only on Philox's
 raw stream and this package's sampler, not on how a numpy release
 implements ``Generator`` methods.  A ``Draws`` takes its block from the
@@ -83,13 +82,13 @@ _MASK32 = 0xFFFFFFFF
 
 
 class Draws:
-    """``random()`` and ``integers(n)`` of a generator at the start of its
-    stream (fresh from ``substream`` or just re-keyed), equal to the
-    generator's own, computed from its raw words.
+    """``integers(n)`` of a generator at the start of its stream (fresh
+    from ``substream`` or just re-keyed), equal to the generator's own,
+    computed from its raw words.
 
-    ``random()`` takes a whole word and leaves a spare 32-bit half in
-    place, as Philox's ``has_uint32`` does; ``integers(n)`` for
-    ``1 <= n <= 2**32`` uses the spare half or splits a new word.
+    For ``1 <= n <= 2**32`` each draw uses the spare 32-bit half of the
+    last word, or splits a new word and keeps its high half spare, as
+    Philox's ``has_uint32`` does.
     """
 
     __slots__ = ("_raw", "_words", "_half")
@@ -102,14 +101,6 @@ class Draws:
     def _refill(self) -> int:
         self._words = iter(self._raw(RAW_BLOCK).tolist())
         return next(self._words)
-
-    def random(self) -> float:
-        """A double in [0, 1) from the top 53 bits of the next word."""
-        try:
-            word = next(self._words)
-        except StopIteration:
-            word = self._refill()
-        return (word >> 11) * 2.0**-53
 
     def integers(self, n: int) -> int:
         """A uniform integer in [0, n) by Lemire's method: the top 32 bits

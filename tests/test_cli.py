@@ -250,6 +250,16 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: line 2: malformed move token 'q@01' in 'q@01 1 0'\n"
 
+    @pytest.mark.parametrize("line", ["q@1 +1 0_0", "q@1 \u0661 0"])
+    def test_non_canonical_pointed_number_is_domain_error(self, tmp_path, capsys, line):
+        path = tmp_path / "plays.txt"
+        path.write_text(f"q@ε 0 *\n{line}\n", encoding="utf-8")
+        assert main(["check", str(path), "--arena", "unit -> unit", "--lang", "seq"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        one_line = r"error: line 2: malformed number '[^']+' in " + re.escape(repr(line))
+        assert re.fullmatch(one_line + "\n", captured.err), captured.err
+
     def test_pointed_file_needs_arena_and_lang(self, tmp_path, capsys):
         path = tmp_path / "plays.txt"
         path.write_text(format_pointed(SEQ_COMPOSITION_PLAY) + "\n", encoding="utf-8")

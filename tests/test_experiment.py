@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import re
+import time
 
 import pytest
 
@@ -177,10 +179,66 @@ class TestGrid:
                 (cell, "FloatingPointError: non-finite loss at window 0") for cell in TINY_CELLS
             ]
 
-    def test_threaded_matches_serial(self):
-        serial = run_perturbation_experiment(TINY_SPEC)
-        threaded = run_perturbation_experiment(TINY_SPEC, threads=2)
-        assert serial.cells == threaded.cells
+    def test_threaded_matches_serial(self, tmp_path):
+        # workers compute each cell's bits as this process does, and the
+        # report keeps grid order whatever order the cells end in
+        texts = set()
+        for threads in (1, 2, 3):
+            report = run_perturbation_experiment(TINY_SPEC, threads=threads)
+            assert [c.label() for c in report.cells] == TINY_CELLS
+            texts.add(emit_report(report, tmp_path / f"r{threads}.csv").read_bytes())
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("crash, finished", [
+        ("seq/order1/width1/n100", TINY_CELLS[1:]),  # handed out last: the others are done
+        ("conc/order1/width5/n100", []),  # handed out first: no other cell is done
+    ])
+    def test_dead_worker_fails_the_cells_without_result(self, monkeypatch, crash, finished):
+        def dying(spec, modes, lang, order, width, size):
+            if experiment._label(lang, order, width, size) == crash:
+                time.sleep(0.5 if finished else 0)
+                os._exit(1)
+            time.sleep(0 if finished else 0.5)
+            return [ReportCell(lang, order, width, size, 2.0, 2.5, 8.0) for mode in modes]
+
+        def slow_progress(message):  # so a worker can die before the last cell is handed out
+            messages.append(message)
+            time.sleep(0.1 if message.endswith(": start") else 0)
+
+        monkeypatch.setattr(experiment, "run_cell", dying)
+        messages = []
+        reports = run_grid(TINY_SPEC, (PERTURBED, CROSS_LANGUAGE), threads=2,
+                           progress=slow_progress)
+        for report in reports.values():
+            assert [c.label() for c in report.cells] == finished
+            assert [label for label, _ in report.failures] == [
+                c for c in TINY_CELLS if c not in finished]
+            assert all(e.startswith("BrokenProcessPool: ") for _, e in report.failures)
+        assert any(m.startswith(f"cell {crash}: failed\nTraceback") for m in messages)
+
+    def test_progress_of_worker_processes(self, monkeypatch):
+        def diverging(spec, modes, lang, order, width, size):
+            if (lang, width) == (CONCURRENT, 5):
+                raise FloatingPointError("non-finite loss at window 0")
+            return [ReportCell(lang, order, width, size, 2.0, 2.5, 8.0) for mode in modes]
+
+        monkeypatch.setattr(experiment, "run_cell", diverging)
+        messages = []
+        run_grid(TINY_SPEC, (PERTURBED, CROSS_LANGUAGE), threads=2, progress=messages.append)
+        assert len(messages) == 2 * len(TINY_CELLS)
+        # handed out largest first: larger arena, then conc before seq
+        assert [m for m in messages if m.endswith(": start")] == [
+            f"cell {label}: start" for label in ("conc/order1/width5/n100", "seq/order1/width5/n100",
+                                                 "conc/order1/width1/n100", "seq/order1/width1/n100")]
+        for label in TINY_CELLS:
+            mine = [m for m in messages if m.startswith(f"cell {label}: ")]
+            assert mine[0] == f"cell {label}: start"
+            if label == "conc/order1/width5/n100":
+                assert mine[1].startswith(f"cell {label}: failed\nTraceback")
+                assert mine[1].endswith("FloatingPointError: non-finite loss at window 0")
+            else:
+                assert mine[1] == (f"cell {label}: train=2.000 validation=2.500 "
+                                   "perturb=8.000 cross=8.000")
 
     def test_memory_error_recorded_per_cell(self, monkeypatch):
         real = experiment.run_cell

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter, defaultdict
 
 import pytest
@@ -342,6 +343,18 @@ class TestLegalExtensions:
             got = {(arena.moves[mi], None if j < 0 else j) for mi, j in exts}
             assert got == brute_force_extensions(arena, lang, play)
 
+    @pytest.mark.parametrize("spec", SMALL_ARENAS)
+    @pytest.mark.parametrize("lang", [SEQUENTIAL, CONCURRENT])
+    def test_complete_play_has_no_extension(self, spec, lang):
+        # so a generated play ends exactly when it is complete, at a dead end
+        # or at the length cap, with no rule of its own for stopping
+        arena = make_arena(parse_type(spec))
+        ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
+        complete = [p for p in enumerate_ref_legal(arena, ref, 8) if p and not ref_pending(p)]
+        assert complete
+        for play in complete:
+            assert replayed_state(arena, lang, play).extensions() == []
+
 
 class TestPlayState:
     @pytest.mark.parametrize("spec", SMALL_ARENAS)
@@ -460,6 +473,14 @@ class TestPointedText:
         plays = parse_pointed_file(play + " \n" + play)
         assert plays == [play_of(("q@ε", None), ("a@ε", 0))] * 2
         assert [check_sequential(unit_arena, p).legal for p in plays] == [True, True]
+
+    @pytest.mark.parametrize("line, number", [
+        ("q@1 +1 0_0", "+1"), ("q@1 01 0", "01"), ("q@1 1 0_0", "0_0"), ("q@1 1 -0", "-0"),
+        ("q@1 \u0661 0", "\u0661"), ("q@1 1 \uff10", "\uff10"),
+    ])
+    def test_numbers_only_in_canonical_spelling(self, line, number):
+        with pytest.raises(ValueError, match="^line 2: malformed number " + re.escape(repr(number))):
+            parse_pointed_file(f"q@ε 0 *\n{line}\n")
 
     def test_errors_name_the_file_line(self):
         play = "q@ε 0 *\na@ε 1 0\n"

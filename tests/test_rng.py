@@ -76,7 +76,7 @@ def _draws(rng):
 
 class TestRekey:
     def test_part_used_buffer_is_dropped(self):
-        # plays draw 64-bit floats and 32-bit bounded integers, so they leave
+        # plays draw 32-bit bounded integers, two to a word, so they leave
         # the four-word buffer part-used and a spare 32-bit half behind
         arena = make_arena(uniform_tree(2, 5))
         rng = substream(4)
@@ -94,10 +94,10 @@ class TestRekey:
         assert _draws(rng) == _draws(fresh)
 
 
-# a call is random() (None) or integers(n); the bounds cover no draw (1),
-# the rejection loop at its busiest (2**31 + 1 rejects almost half of all
-# halves) and numpy's plain 32-bit path (2**32)
-CALLS = (None, 1, 2, 3, 5, 7, 63, 313, 2**31 + 1, 2**32 - 1, 2**32)
+# the bounds of integers(n) cover no draw (1), the rejection loop at its
+# busiest (2**31 + 1 rejects almost half of all halves) and numpy's plain
+# 32-bit path (2**32)
+CALLS = (1, 2, 3, 5, 7, 63, 313, 2**31 + 1, 2**32 - 1, 2**32)
 
 
 class TestDraws:
@@ -111,10 +111,7 @@ class TestDraws:
         ref = substream(seed, "draws")
         draws = Draws(substream(seed, "draws"))
         for n in calls:
-            if n is None:
-                assert draws.random() == ref.random()
-            else:
-                assert draws.integers(n) == ref.integers(n)
+            assert draws.integers(n) == ref.integers(n)
 
     @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
     def test_rejects_bounds_outside_32_bits(self, n):
