@@ -12,6 +12,21 @@ candidate], so the sigmoid gates occupy the first 3H columns.  Token id 0
 is the end-of-play marker and doubles as the start-of-sequence input when
 evaluating a play from a cold state.
 
+Forward order: step-major.  Each time step runs through every layer before
+the next step starts.  Layer 0's input term is row ``ids[:, t]`` of a
+table ``embedding @ w_x`` (V x 4H) made once per call; a deeper layer
+multiplies the hidden state just computed below it by its ``w_x``.  So no
+(B, T, 4H) input product is built, and evaluation keeps only the top
+layer's hidden states.  A training window fills batch-major records in the
+same loop; backward, the projection, the loss and every weight-gradient
+product take whole windows as before.  The bits equal those of a
+layer-major forward, which multiplies all B*T rows of a layer at once,
+because in OpenBLAS a row of a product does not depend on the other rows
+in the call.  ``tests/test_seqmodel.py`` checks that equality on every
+arena of the full grid, and its pinned digests check the trained bits.
+A one-row batch (B = 1) is the exception: numpy sends a (1, n) product to
+gemv, which rounds differently from gemm.
+
 Parameter layout: every parameter lives in one contiguous float64
 ``LstmModel.vector``.  The named arrays (``embedding``, each
 ``cells[l].w_x``, ``w_h``, ``bias``, then ``proj`` and ``proj_bias``) are
@@ -191,7 +206,13 @@ def step_cell(x, h, c, layer: LayerParams):
 
 @dataclass
 class _LayerRecord:
-    """What one layer's forward pass keeps for backward, each value once."""
+    """What one layer's forward pass keeps for backward, each value once.
+
+    The step-major loop fills it one step at a time, but it stays
+    batch-major, so backward's weight-gradient products each take the
+    whole window as one matrix.  Layer 0's input is ``embedding[ids]``; a
+    deeper layer's is the ``hs`` of the layer below, not a copy.
+    """
 
     x: np.ndarray  # (B, T, in_dim) input
     h0: np.ndarray  # (B, H) initial hidden state
@@ -202,30 +223,10 @@ class _LayerRecord:
     tc: np.ndarray  # (B, T, H) tanh of the cell states
 
 
-def _forward_layer(layer: LayerParams, x, h0, c0, keep: bool):
-    """The layer's hidden states (the next layer's input), its backward
-    record if ``keep`` (else None), and its last (h, c)."""
-    B, T, _ = x.shape
-    H = layer.w_h.shape[0]
-    xw = (x.reshape(B * T, -1) @ layer.w_x).reshape(B, T, 4 * H)
-    hs = np.empty((B, T, H))
-    rec = None
-    if keep:
-        rec = _LayerRecord(x, h0, c0, hs, *(np.empty((B, T, n)) for n in (H, 4 * H, H)))
-    h, c = h0, c0
-    for t in range(T):
-        s, g, c, tc, h = _gates(xw[:, t] + h @ layer.w_h + layer.bias, c)
-        hs[:, t] = h
-        if keep:
-            rec.acts[:, t, : 3 * H] = s
-            rec.acts[:, t, 3 * H :] = g
-            rec.cs[:, t], rec.tc[:, t] = c, tc
-    return hs, rec, (h, c)
-
-
 def _forward(model: LstmModel, ids, state, keep: bool):
     """Logits, the carried state, and (per-layer records, ids); the records
-    are None unless ``keep``, which only a window that runs backward needs."""
+    are None unless ``keep``, which only a window that runs backward needs.
+    One step-major loop serves both (see the module docstring)."""
     config = model.config
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -233,28 +234,45 @@ def _forward(model: LstmModel, ids, state, keep: bool):
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise ValueError("token id out of range")
     B, T = ids.shape
+    H = config.hidden_dim
     if state is None:
-        H = config.hidden_dim
         state = [(np.zeros((B, H)), np.zeros((B, H))) for _ in range(config.layers)]
-    x = model.embedding[ids]
-    records = []
-    new_state = []
-    for layer, (h0, c0) in zip(model.cells, state):
-        x, rec, hc = _forward_layer(layer, x, h0, c0, keep)
-        records.append(rec)
-        new_state.append(hc)
-    logits = (x.reshape(B * T, -1) @ model.proj + model.proj_bias).reshape(
+    records = [None] * config.layers
+    if keep:
+        x = model.embedding[ids]
+        for l, (h0, c0) in enumerate(state):
+            records[l] = _LayerRecord(x, h0, c0, *(np.empty((B, T, n)) for n in (H, H, 4 * H, H)))
+            x = records[l].hs
+        top = x
+    else:
+        top = np.empty((B, T, H))
+    table = model.embedding @ model.cells[0].w_x
+    h = [h0 for h0, _ in state]
+    c = [c0 for _, c0 in state]
+    for t in range(T):
+        xw = table[ids[:, t]]
+        for l, (layer, rec) in enumerate(zip(model.cells, records)):
+            if l:
+                xw = h[l - 1] @ layer.w_x
+            s, g, c[l], tc, h[l] = _gates(xw + h[l] @ layer.w_h + layer.bias, c[l])
+            if rec is not None:
+                rec.hs[:, t], rec.cs[:, t], rec.tc[:, t] = h[l], c[l], tc
+                rec.acts[:, t, : 3 * H] = s
+                rec.acts[:, t, 3 * H :] = g
+        top[:, t] = h[-1]
+    logits = (top.reshape(B * T, -1) @ model.proj + model.proj_bias).reshape(
         B, T, config.vocab_size
     )
-    return logits, new_state, (records, ids)
+    return logits, list(zip(h, c)), (records, ids)
 
 
 def forward(model: LstmModel, ids, state=None):
     """Logits for each position plus the carried (h, c) per layer.
 
     ``state=None`` starts from zeros; passing the returned state makes
-    consecutive windows behave like one long unrolled sequence.  Only each
-    layer's hidden states are kept, not what backward would need.
+    consecutive windows behave like one long unrolled sequence.  Only the
+    top layer's hidden states are kept, for the projection; every other
+    per-step value, and what backward would need, lasts one step.
     """
     logits, new_state, _ = _forward(model, ids, state, keep=False)
     return logits, new_state
@@ -306,6 +324,18 @@ def _backward_layer(layer: LayerParams, rec: _LayerRecord, dhs, grad: LayerParam
     return (dz_flat @ layer.w_x.T).reshape(B, T, -1)
 
 
+def _scatter_rows(ids, rows, V):
+    """(V, D) sums of the (N, D) ``rows`` by their (N,) token ``ids``.
+
+    One bincount over the flat (token, column) indices.  Each sum adds its
+    rows in position order starting from zero, as ``np.add.at`` does, so
+    the bits are the same at a fraction of the time.
+    """
+    D = rows.shape[1]
+    index = (ids.reshape(-1, 1) * D + np.arange(D)).reshape(-1)
+    return np.bincount(index, rows.reshape(-1), minlength=V * D).reshape(V, D)
+
+
 def _step(model: LstmModel, ids, targets, state):
     """Forward + backward over one window; loss is truncated at the
     incoming state (no gradient flows into it)."""
@@ -319,7 +349,7 @@ def _step(model: LstmModel, ids, targets, state):
     dflat = np.exp(flat - lse[:, None])
     dflat[rows, tg] -= 1.0
     dflat /= LN2
-    # every view but the embedding is written in full below
+    # every view is written in full below
     grads = LstmModel(model.config, np.empty_like(model.vector))
     top = records[-1].hs.reshape(B * T, -1)
     np.matmul(top.T, dflat, out=grads.proj)
@@ -327,8 +357,7 @@ def _step(model: LstmModel, ids, targets, state):
     d_out = (dflat @ model.proj.T).reshape(B, T, -1)
     for l in reversed(range(len(model.cells))):
         d_out = _backward_layer(model.cells[l], records[l], d_out, grads.cells[l])
-    grads.embedding.fill(0.0)
-    np.add.at(grads.embedding, ids_arr.reshape(-1), d_out.reshape(B * T, -1))
+    grads.embedding[...] = _scatter_rows(ids_arr.reshape(-1), d_out.reshape(B * T, -1), V)
     return grads, bits, tg.size, new_state
 
 
@@ -423,7 +452,9 @@ def perplexity(model: LstmModel, sequences, eval_batch: int = 64) -> Evaluation:
     Sequences are evaluated in canonical sorted order with padding masked
     out, which makes the result independent of corpus line order.  Each
     batch of ``eval_batch`` sequences pads to its longest one, so a large
-    ``eval_batch`` also computes the masked positions.
+    ``eval_batch`` also computes the masked positions.  A batch's largest
+    buffers are the top layer's (B, T, H) hidden states and the (B, T, V)
+    logits; no (B, T, 4H) gate input is built.
     """
     if eval_batch < 1:
         raise ValueError(f"eval_batch must be >= 1, got {eval_batch}")

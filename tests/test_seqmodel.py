@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 import playlab.seqmodel as seqmodel
+from playlab.arena import make_arena, uniform_tree
+from playlab.corpus import Vocab
+from playlab.experiment import ExperimentSpec
 from playlab.rng import substream
 from playlab.seqmodel import (
     INIT_SCALE,
@@ -29,7 +32,7 @@ from playlab.seqmodel import (
     step_cell,
     train_model,
 )
-from playlab.seqmodel import _forward
+from playlab.seqmodel import _forward, _gates, _scatter_rows
 
 from conftest import config_block, rewrite_config
 from oracles import scalar_lstm_step
@@ -287,12 +290,89 @@ class TestForward:
             tracemalloc.stop()
         assert peak < record_bytes / 2
 
+    def test_eval_builds_no_gate_buffer(self):
+        # one (B, T, 4H) float64 array is 5.24 MB here; a layer-major
+        # forward builds one per layer and peaks at 8.87 MB
+        B, T, H = 64, 40, 64
+        config = ModelConfig(vocab_size=5, embed_dim=H, hidden_dim=H, seed=3)
+        model = init_model(config)
+        seqs = list(substream(11, "eval").integers(0, 5, (B, T)))
+        tracemalloc.start()
+        try:
+            perplexity(model, seqs, eval_batch=B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < B * T * 4 * H * 8
+
     def test_rejects_bad_ids(self):
         model = init_model(tiny_config())
         with pytest.raises(ValueError):
             forward(model, np.array([[0, 5]]))
         with pytest.raises(ValueError):
             forward(model, np.array([0, 1]))
+
+
+def layer_major_forward(model, ids, state):
+    """Logits and carried (h, c) computed one whole layer at a time, with
+    the layer's input product for every step as one matrix product."""
+    B, T = ids.shape
+    H = model.config.hidden_dim
+    x = model.embedding[ids]
+    new_state = []
+    for layer, (h, c) in zip(model.cells, state):
+        xw = (x.reshape(B * T, -1) @ layer.w_x).reshape(B, T, 4 * H)
+        x = np.empty((B, T, H))
+        for t in range(T):
+            _, _, c, _, h = _gates(xw[:, t] + h @ layer.w_h + layer.bias, c)
+            x[:, t] = h
+        new_state.append((h, c))
+    logits = x.reshape(B * T, -1) @ model.proj + model.proj_bias
+    return logits.reshape(B, T, -1), new_state
+
+
+FULL_ARENAS = [
+    (order, width)
+    for order in ExperimentSpec.full().orders
+    for width in ExperimentSpec.widths
+]
+
+
+class TestStepMajorBits:
+    # The step-major forward takes layer 0's input term from a row of
+    # embedding @ w_x and a deeper layer's per step, where a layer-major
+    # forward multiplies all B*T rows at once.  The bits agree only while a
+    # row of a BLAS product does not depend on the other rows in the call.
+    @pytest.mark.parametrize("hidden", [128, 200])
+    @pytest.mark.parametrize("order, width", FULL_ARENAS)
+    def test_matches_layer_major_reference(self, order, width, hidden):
+        V = len(Vocab(make_arena(uniform_tree(order, width))))
+        config = ModelConfig(vocab_size=V, embed_dim=hidden, hidden_dim=hidden,
+                             seed=order * 10 + width)
+        model = init_model(config)
+        rng = substream(config.seed, "ids")
+        for B, T in ((20, 20), (64, 50)):
+            state = [(np.zeros((B, hidden)), np.zeros((B, hidden)))] * config.layers
+            # a cold window, then one from the carried state
+            for _ in range(2):
+                ids = rng.integers(0, V, (B, T))
+                logits, new_state = forward(model, ids, state)
+                want, want_state = layer_major_forward(model, ids, state)
+                assert np.array_equal(logits, want), (B, T)
+                for (h, c), (wh, wc) in zip(new_state, want_state):
+                    assert np.array_equal(h, wh) and np.array_equal(c, wc), (B, T)
+                state = new_state
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("V, N, D", [(5, 40, 4), (63, 400, 128), (313, 3200, 8)])
+    def test_matches_add_at(self, V, N, D):
+        rng = substream(V, "scatter")
+        for ids in (rng.integers(0, V, N), rng.integers(0, 3, N), np.zeros(N, np.int64)):
+            rows = rng.standard_normal((N, D))
+            want = np.zeros((V, D))
+            np.add.at(want, ids, rows)
+            assert np.array_equal(_scatter_rows(ids, rows, V), want)
 
 
 class TestLoss:
