@@ -16,7 +16,7 @@ import numpy as np
 from .arena import ANSWER, Arena, TypeSyntaxError, make_arena, parse_type, render_type
 from .fileio import write_atomic
 from .play import ILLEGAL, LANGUAGES, PointedPlay, _PlayState, reconstruction_verdict
-from .rng import Draws, rekey, substream
+from .rng import Draws
 
 EOP = "$"
 
@@ -76,8 +76,8 @@ def generate_play(
 
     Each step appends a uniform choice among the legal extensions;
     generation stops when no extension exists (as for every complete play)
-    or the length cap is reached.  ``rng`` is a Generator or a ``Draws``
-    over one; both draw the same play from the same stream.
+    or the length cap is reached.  ``rng`` is a Generator or a ``Draws``;
+    both draw the same play from the same stream.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -123,10 +123,9 @@ def generate_corpus(
     if complete_only and max_len < 2:
         raise ValueError(f"a complete play needs max_len >= 2, got {max_len}")
     plays = []
-    rng = substream(seed)
+    draws = Draws(seed)
     for i in range(count):
-        rekey(rng, seed, i)
-        draws = Draws(rng)
+        draws.rekey(seed, i)
         play = generate_play(arena, lang, max_len, draws)
         if complete_only:
             for _ in range(1000):
@@ -235,7 +234,7 @@ def perturb(
     once nothing is left to delete or substitute), positions uniformly, and
     replacement tokens uniformly from the arena vocabulary; EOP is neither
     edited nor inserted.  The edit distance to the input is at most k.
-    ``rng`` is a Generator or a ``Draws`` over one, with equal results.
+    ``rng`` is a Generator or a ``Draws`` on one stream, with equal results.
     """
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
@@ -270,10 +269,9 @@ def perturb_corpus(
     arena = corpus.arena
     vocab = build_vocab(arena)
     out = []
-    rng = substream(seed)
+    draws = Draws(seed)
     for i, seq in enumerate(corpus.plays):
-        rekey(rng, seed, i)
-        draws = Draws(rng)
+        draws.rekey(seed, i)
         try:
             mutated = perturb(seq, vocab, ratio, draws)
         except ValueError as e:  # an empty play (or a bad ratio, raised at play 1)

@@ -182,22 +182,21 @@ def _cost_order(cell: tuple[str, int, int, int]) -> tuple[int, int, bool]:
     return size, len(make_arena(uniform_tree(order, width))), lang == CONCURRENT
 
 
-def _failure(label: str, e: Exception):
+def _failure(e: Exception):
     """The outcome of a cell that raised ``e``, called in its handler."""
     kind = "out of memory" if isinstance(e, MemoryError) else type(e).__name__
-    return label, None, f"{kind}: {e}", traceback.format_exc().rstrip()
+    return None, f"{kind}: {e}", traceback.format_exc().rstrip()
 
 
 def _cell_outcome(spec: ExperimentSpec, modes: tuple[str, ...], cell: tuple[str, int, int, int]):
-    """Run one cell; returns (label, results or None, error or None,
-    traceback text or None).  Module level so a worker process can run it;
+    """Run one cell; returns (results or None, error or None, traceback
+    text or None).  Module level so a worker process can run it;
     ``run_cell`` is looked up when called, so a forked worker runs whatever
     the parent's module holds."""
-    label = _label(*cell)
     try:
-        return label, run_cell(spec, modes, *cell), None, None
+        return run_cell(spec, modes, *cell), None, None
     except Exception as e:  # a failing cell is recorded, the others still run
-        return _failure(label, e)
+        return _failure(e)
 
 
 def run_grid(
@@ -227,21 +226,16 @@ def run_grid(
         for size in spec.train_sizes
     ]
     outcomes = {}
+    say = progress or (lambda message: None)
 
-    def start(cell):
-        if progress is not None:
-            progress(f"cell {_label(*cell)}: start")
-
-    def finish(outcome):
-        label, results, error, trace = outcomes[outcome[0]] = outcome
-        if progress is None:
-            return
+    def finish(cell, outcome):
+        results, error, trace = outcomes[cell] = outcome
         if error is not None:
-            progress(f"cell {label}: failed\n{trace}")
+            say(f"cell {_label(*cell)}: failed\n{trace}")
             return
         tests = " ".join(f"{mode}={r.test_ppl:.3f}" for mode, r in zip(modes, results))
-        progress(
-            f"cell {label}: train={results[0].train_ppl:.3f} "
+        say(
+            f"cell {_label(*cell)}: train={results[0].train_ppl:.3f} "
             f"validation={results[0].validation_ppl:.3f} {tests}"
         )
 
@@ -258,28 +252,28 @@ def run_grid(
         with ProcessPoolExecutor(min(threads, len(cells)),
                                  multiprocessing.get_context("fork")) as pool:
             for cell in sorted(cells, key=_cost_order, reverse=True):  # run in this order
-                start(cell)
+                say(f"cell {_label(*cell)}: start")
                 try:
                     futures[pool.submit(_cell_outcome, spec, modes, cell)] = cell
                 except BrokenProcessPool as e:  # a worker died before this cell was handed out
-                    finish(_failure(_label(*cell), e))
+                    finish(cell, _failure(e))
             for future in as_completed(futures):
                 try:
-                    finish(future.result())
+                    finish(futures[future], future.result())
                 except BrokenProcessPool as e:  # a worker died: this cell has no result
-                    finish(_failure(_label(*futures[future]), e))
+                    finish(futures[future], _failure(e))
     else:
         for cell in cells:
-            start(cell)
-            finish(_cell_outcome(spec, modes, cell))
+            say(f"cell {_label(*cell)}: start")
+            finish(cell, _cell_outcome(spec, modes, cell))
     reports = {mode: Report() for mode in modes}
     for cell in cells:
-        label, results, error, _ = outcomes[_label(*cell)]
+        results, error, _ = outcomes[cell]
         for i, mode in enumerate(modes):
             if error is None:
                 reports[mode].cells.append(results[i])
             else:
-                reports[mode].failures.append((label, error))
+                reports[mode].failures.append((_label(*cell), error))
     return reports
 
 

@@ -8,22 +8,14 @@ names yield statistically independent streams.  Substreams can be derived
 from substreams (the path just grows), which is what lets per-play and
 per-cell work be reproduced in isolation.
 
-A stream is only its key: ``rekey`` moves a generator to the start of
-another stream, the state ``substream`` starts in.  A loop over plays makes
-one generator and re-keys it before each play, so it draws what a fresh
-``substream`` per play would, without building a generator per play (numpy
-draws OS entropy for every new Philox, only for the key to override it).
-
-Corpus sampling draws through ``Draws``, which serves ``integers(n)`` from
-a re-keyed generator.  It computes them in Python from the stream's raw
-64-bit Philox words, fetched in blocks, with the arithmetic of numpy's
-``Generator`` (Lemire's method on 32-bit halves, low half first), so it
-returns what the Generator would, call for call, at a
-fraction of the cost of a numpy call.  Corpora thus depend only on Philox's
-raw stream and this package's sampler, not on how a numpy release
-implements ``Generator`` methods.  A ``Draws`` takes its block from the
-generator ahead of use, so re-key the generator before drawing from it
-directly again.
+Corpus sampling draws through ``Draws``, one Philox stream that a corpus
+loop re-keys to the start of each play's stream.  Its ``integers(n)`` are
+computed in Python from the stream's raw 64-bit words, fetched in blocks and
+read as 32-bit halves, low half first, with the arithmetic of numpy's
+``Generator`` (Lemire's method), so they equal a ``substream`` Generator's
+call for call at a fraction of the cost of a numpy call.  Corpora thus
+depend only on Philox's raw stream and this package's sampler, not on how a
+numpy release implements ``Generator`` methods.
 """
 
 from __future__ import annotations
@@ -63,44 +55,38 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *path)))
 
 
-def rekey(rng: np.random.Generator, seed: int, *path: int | str) -> None:
-    """Move a ``substream`` generator to the start of the named stream:
-    counter 0, empty buffer, no spare 32-bit draw."""
-    key = derive_key(seed, *path)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (key & 0xFFFFFFFFFFFFFFFF, key >> 64)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-
-
-# raw words a Draws fetches at once: a play of 50 moves takes at most about
-# 25, a perturbation under 10; of 8, 16, 32 and 64, 32 generated and perturbed
-# the seq corpora of the `plays` benchmark fastest
+# raw 64-bit words a Draws fetches at once, read as 64 32-bit halves: a play
+# of 50 moves takes at most about 50 halves, a perturbation under 20; of
+# blocks of 8, 16, 32 and 64 words, 32 generated and perturbed the seq
+# corpora of the `plays` benchmark fastest
 RAW_BLOCK = 32
 _MASK32 = 0xFFFFFFFF
 
 
 class Draws:
-    """``integers(n)`` of a generator at the start of its stream (fresh
-    from ``substream`` or just re-keyed), equal to the generator's own,
-    computed from its raw words.
+    """``integers(n)`` of the stream ``substream(seed, *path)`` starts,
+    equal call for call to that Generator's own, read from its raw words
+    as 32-bit halves in order: each word's low half, then its high half,
+    as Philox's ``has_uint32`` spare serves them."""
 
-    For ``1 <= n <= 2**32`` each draw uses the spare 32-bit half of the
-    last word, or splits a new word and keeps its high half spare, as
-    Philox's ``has_uint32`` does.
-    """
+    # _next is the block iterator's bound __next__: cheaper per call than next()
+    __slots__ = ("_bits", "_next")
 
-    __slots__ = ("_raw", "_words", "_half")
+    def __init__(self, seed: int, *path: int | str):
+        self._bits = substream(seed, *path).bit_generator
+        self._next = iter(()).__next__
 
-    def __init__(self, rng: np.random.Generator):
-        self._raw = rng.bit_generator.random_raw
-        self._words = iter(())
-        self._half: int | None = None
-
-    def _refill(self) -> int:
-        self._words = iter(self._raw(RAW_BLOCK).tolist())
-        return next(self._words)
+    def rekey(self, seed: int, *path: int | str) -> None:
+        """Move to the start of the named stream (counter 0, nothing
+        buffered), which is cheaper than a new ``Draws``: numpy draws OS
+        entropy for every new Philox, only for the key to override it."""
+        key = derive_key(seed, *path)
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (key & 0xFFFFFFFFFFFFFFFF, key >> 64)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        self._next = iter(()).__next__
 
     def integers(self, n: int) -> int:
         """A uniform integer in [0, n) by Lemire's method: the top 32 bits
@@ -112,16 +98,12 @@ class Draws:
         if n == 1:
             return 0
         while True:
-            half = self._half
-            if half is None:
-                try:
-                    word = next(self._words)
-                except StopIteration:
-                    word = self._refill()
-                self._half = word >> 32
-                half = word & _MASK32
-            else:
-                self._half = None
+            try:
+                half = self._next()
+            except StopIteration:
+                words = self._bits.random_raw(RAW_BLOCK)
+                self._next = iter(words.astype("<u8", copy=False).view("<u4").tolist()).__next__
+                half = self._next()
             m = half * n
             low = m & _MASK32
             if low >= n or low >= ((1 << 32) - n) % n:

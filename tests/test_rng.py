@@ -1,11 +1,11 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from playlab.arena import make_arena, uniform_tree
-from playlab.corpus import generate_play
-from playlab.rng import RAW_BLOCK, Draws, derive_key, derive_seed, rekey, substream
+from playlab.rng import RAW_BLOCK, Draws, derive_key, derive_seed, substream
 
 
 class TestDeriveKey:
@@ -69,31 +69,6 @@ class TestSubstream:
         assert not np.array_equal(a, b)
 
 
-def _draws(rng):
-    return [rng.random(), rng.integers(7), rng.integers(3, 40), rng.random(), rng.integers(2**40),
-            rng.integers(5), rng.integers(-2, 2)]
-
-
-class TestRekey:
-    def test_part_used_buffer_is_dropped(self):
-        # plays draw 32-bit bounded integers, two to a word, so they leave
-        # the four-word buffer part-used and a spare 32-bit half behind
-        arena = make_arena(uniform_tree(2, 5))
-        rng = substream(4)
-        for i in range(100):
-            rekey(rng, 4, i)
-            generate_play(arena, "seq", 50, rng)
-            state = rng.bit_generator.state
-            if state["has_uint32"] == 1 and state["buffer_pos"] < 4:
-                break
-        else:
-            raise AssertionError("no play left the buffer part-used")
-        rekey(rng, 4, "next")
-        fresh = substream(4, "next")
-        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
-        assert _draws(rng) == _draws(fresh)
-
-
 # the bounds of integers(n) cover no draw (1), the rejection loop at its
 # busiest (2**31 + 1 rejects almost half of all halves) and numpy's plain
 # 32-bit path (2**32)
@@ -109,11 +84,19 @@ class TestDraws:
         # sequences run through more than one block
         assume(sum(n != 1 for n in calls) > 2 * RAW_BLOCK)
         ref = substream(seed, "draws")
-        draws = Draws(substream(seed, "draws"))
+        draws = Draws(seed, "draws")
         for n in calls:
             assert draws.integers(n) == ref.integers(n)
+
+    def test_rekey_drops_a_part_used_block(self):
+        draws = Draws(4)
+        draws.integers(7)
+        assert operator.length_hint(draws._next.__self__) == 2 * RAW_BLOCK - 1
+        draws.rekey(4, "next")
+        fresh = substream(4, "next")
+        assert [draws.integers(n) for n in CALLS] == [fresh.integers(n) for n in CALLS]
 
     @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
     def test_rejects_bounds_outside_32_bits(self, n):
         with pytest.raises(ValueError):
-            Draws(substream(0)).integers(n)
+            Draws(0).integers(n)
