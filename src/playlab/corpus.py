@@ -10,6 +10,7 @@ regenerated in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,9 +64,9 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.plays)
 
-    @property
+    @cached_property
     def arena(self) -> Arena:
-        """The arena ``arena_spec`` names, built anew on each access."""
+        """The arena ``arena_spec`` names, built on first access and kept."""
         return make_arena(parse_type(self.arena_spec))
 
 
@@ -82,12 +83,12 @@ def generate_play(
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     state = _PlayState(arena, lang)
-    while len(state) < max_len:
+    occ_move = state.occ_move
+    while len(occ_move) < max_len:
         exts = state.extensions()
         if not exts:
             break
-        move_idx, justifier = exts[rng.integers(len(exts))]
-        state.push(move_idx, justifier)
+        state.push(*exts[rng.integers(len(exts))])
     return state.to_play()
 
 
@@ -100,7 +101,7 @@ def is_complete(play: PointedPlay) -> bool:
 
 def elide(play: PointedPlay) -> TokenSeq:
     """Drop names and pointers; keep move tokens in order, close with EOP."""
-    return tuple(pm.move.token for pm in play) + (EOP,)
+    return (*[pm.move.token for pm in play], EOP)
 
 
 def generate_corpus(

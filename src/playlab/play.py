@@ -28,7 +28,10 @@ sequential state keeps, for each prefix, the last mover's occurrences in the
 next mover's view (Hyland and Ong): the view alternates players, so these
 are all the next move may point at.  ``push`` builds each from its
 justifier's; these are the only views computed, and no rule walks the play.
-Fork and join follow Ghica and Murawski's concurrent plays.  The pointer
+By bracketing its pending questions are a stack: an answer pops the latest.
+A concurrent state instead counts each occurrence's unanswered child
+questions, which fork and join read (Ghica and Murawski's concurrent
+plays); only it removes an answered question from the middle.  The pointer
 search backtracks straight to the deepest token with an untried choice and
 ends once no token has one; the concurrent search also remembers dead states
 by their pending forest up to isomorphism (the AHU canonical form; Aho,
@@ -40,6 +43,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import partial
+from itertools import count
 from typing import NamedTuple
 
 from .arena import PROPONENT, Arena, MoveId, parse_token
@@ -93,6 +98,10 @@ class Verdict:
 
 PointedPlay = tuple[PointedMove, ...]
 
+# builds a PointedMove from a (move, name, justifier) triple in one C call,
+# without the NamedTuple's Python-level __new__
+_pointed_move = partial(tuple.__new__, PointedMove)
+
 
 def format_pointed(play: PointedPlay) -> str:
     """One move per line: ``token name justifier`` with ``*`` for the opener."""
@@ -141,7 +150,10 @@ class _PlayState:
     occurrence, -1 for the opener.  ``violation`` says whether a move may be
     appended, ``extensions`` lists every move that may and ``justifiers``
     every way one move may.  ``push`` appends a move without re-validating
-    it; ``pop`` undoes the last ``push``.
+    it; ``pop`` undoes the last ``push``.  Both languages keep the moves,
+    their justifiers and the pending questions; a seq state also keeps
+    ``views`` and treats ``pending`` as a bracketed stack, and a conc state
+    keeps ``open_children`` for fork and join.
     """
 
     __slots__ = ("arena", "lang", "occ_move", "occ_just", "pending", "open_children", "views")
@@ -154,7 +166,8 @@ class _PlayState:
         self.occ_move: list[int] = []  # arena move index per occurrence
         self.occ_just: list[int] = []  # justifier occurrence, -1 for the opener
         self.pending: list[int] = []  # unanswered question occurrences, oldest first
-        self.open_children: list[int] = []  # unanswered questions spawned per occurrence
+        # conc only: unanswered questions spawned per occurrence
+        self.open_children: list[int] = []
         # seq only: views[n] is the last mover's occurrences in the next
         # mover's view of the first n moves, oldest first: the view alternates
         # players, so these are all the next move may point at.  That view is
@@ -189,12 +202,20 @@ class _PlayState:
         return None
 
     def push(self, move_idx: int, justifier: int) -> None:
-        arena = self.arena
         k = len(self.occ_move)
         self.occ_move.append(move_idx)
         self.occ_just.append(justifier)
+        question = self.arena.is_question[move_idx]
+        if self.lang == SEQUENTIAL:
+            # by bracketing an answer answers the latest pending question
+            if question:
+                self.pending.append(k)
+            else:
+                self.pending.pop()
+            self.views.append(self.views[justifier] + (k,) if justifier >= 0 else (k,))
+            return
         self.open_children.append(0)
-        if arena.is_question[move_idx]:
+        if question:
             self.pending.append(k)
             if justifier >= 0:
                 self.open_children[justifier] += 1
@@ -203,18 +224,23 @@ class _PlayState:
             parent = self.occ_just[justifier]
             if parent >= 0:
                 self.open_children[parent] -= 1
-        if self.lang == SEQUENTIAL:
-            self.views.append(self.views[justifier] + (k,) if justifier >= 0 else (k,))
 
     def pop(self) -> None:
-        """Undo the last ``push``.  ``pending`` is kept in occurrence order,
-        so an answered question goes back to its sorted place."""
+        """Undo the last ``push``.  ``pending`` stays in occurrence order: a
+        seq answer's question was the latest, a conc one's goes back to its
+        sorted place."""
         move_idx = self.occ_move.pop()
         justifier = self.occ_just.pop()
-        self.open_children.pop()
+        question = self.arena.is_question[move_idx]
         if self.lang == SEQUENTIAL:
             self.views.pop()
-        if self.arena.is_question[move_idx]:
+            if question:
+                self.pending.pop()
+            else:
+                self.pending.append(justifier)
+            return
+        self.open_children.pop()
+        if question:
             self.pending.pop()
             if justifier >= 0:
                 self.open_children[justifier] -= 1
@@ -288,10 +314,8 @@ class _PlayState:
 
     def to_play(self) -> PointedPlay:
         moves = self.arena.moves
-        return tuple(
-            PointedMove(moves[mi], k, None if j < 0 else j)
-            for k, (mi, j) in enumerate(zip(self.occ_move, self.occ_just))
-        )
+        justifiers = [None if j < 0 else j for j in self.occ_just]
+        return tuple(map(_pointed_move, zip([moves[mi] for mi in self.occ_move], count(), justifiers)))
 
 
 def _replay(arena: Arena, play: PointedPlay, state: _PlayState) -> Verdict:
@@ -366,13 +390,14 @@ def justification_assignments(
     results: list[PointedPlay] = []
     spent = 0
     state = _PlayState(arena, lang)
+    occ_move = state.occ_move
     memo = lang == CONCURRENT
     dead = set()  # conc: (token, pending forest) of states that led to no result
     # one frame per choice point on the current path, deepest last: its token,
     # untried choices (last first), memo key (or None) and results on entry
     frames = []
     while True:
-        k = len(state)
+        k = len(occ_move)
         choices = []
         if k == len(want):
             results.append(state.to_play())
@@ -397,7 +422,7 @@ def justification_assignments(
                 return results
             k, untried, _, _ = frames[-1]
             choice = untried.pop()
-            for _ in range(len(state) - k):
+            for _ in range(len(occ_move) - k):
                 state.pop()
         spent += 1
         if spent > SEARCH_BUDGET:

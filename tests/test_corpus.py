@@ -277,6 +277,17 @@ class TestCorpusFile:
             read_corpus(path)
         assert str(err.value) == message
 
+    def test_arena_is_built_once_and_kept(self, tmp_path, order2_arena):
+        corpus = generate_corpus(order2_arena, SEQUENTIAL, 5, 20, seed=6)
+        path = tmp_path / "c.plays"
+        write_corpus(corpus, path)
+        back = read_corpus(path)
+        assert back.arena is back.arena
+        assert back.arena.tokens == order2_arena.tokens
+        # the kept arena is not a field: equality and the file's bytes are the same
+        assert back == corpus
+        assert corpus_text(back) == corpus_text(corpus)
+
     def test_bad_arena_names_line_2(self, tmp_path):
         path = self._write(
             tmp_path,
@@ -359,6 +370,20 @@ class TestPerturbCorpus:
         out = perturb_corpus(corpus, 0.1, seed=17)
         assert out.plays == [perturb(seq, vocab, 0.1, substream(17, i))
                              for i, seq in enumerate(corpus.plays)]
+
+    def test_reads_the_arena_read_corpus_built(self, tmp_path, order2_arena, monkeypatch):
+        path = tmp_path / "c.plays"
+        write_corpus(generate_corpus(order2_arena, SEQUENTIAL, 5, 20, seed=6), path)
+        built = []
+        make_arena = playlab.corpus.make_arena
+
+        def counted(tree):
+            built.append(tree)
+            return make_arena(tree)
+
+        monkeypatch.setattr(playlab.corpus, "make_arena", counted)
+        perturb_corpus(read_corpus(path), 0.1, seed=17)
+        assert len(built) == 1
 
     def test_require_illegal(self, order2_arena):
         corpus = generate_corpus(order2_arena, SEQUENTIAL, 15, 30, seed=5)

@@ -406,6 +406,35 @@ class TestPlayState:
                 assert state.justifiers(mi) == [e for e in exts if e[0] == mi]
 
     @pytest.mark.parametrize("spec", SMALL_ARENAS)
+    def test_seq_answer_answers_the_latest_pending_question(self, spec):
+        # what lets a seq push pop ``pending`` rather than search it
+        arena = make_arena(parse_type(spec))
+        answers = 0
+        for play in enumerate_ref_legal(arena, ref_check_sequential, 6):
+            state = replayed_state(arena, SEQUENTIAL, play)
+            for mi, j in state.extensions():
+                if not arena.is_question[mi]:
+                    assert j == state.pending[-1]
+                    answers += 1
+        assert answers
+
+    @pytest.mark.parametrize("spec", SMALL_ARENAS)
+    @pytest.mark.parametrize("lang", [SEQUENTIAL, CONCURRENT])
+    def test_to_play_is_the_pointed_play_move_by_move(self, spec, lang):
+        arena = make_arena(parse_type(spec))
+        ref = ref_check_sequential if lang == SEQUENTIAL else ref_check_concurrent
+        for play in enumerate_ref_legal(arena, ref, 5):
+            state = replayed_state(arena, lang, play)
+            got = state.to_play()
+            expected = tuple(
+                PointedMove(arena.moves[mi], k, None if j < 0 else j)
+                for k, (mi, j) in enumerate(zip(state.occ_move, state.occ_just))
+            )
+            assert got == expected == play
+            assert all(type(pm) is PointedMove for pm in got)
+            assert parse_pointed_file(format_pointed(got)) == ([got] if got else [])
+
+    @pytest.mark.parametrize("spec", SMALL_ARENAS)
     def test_stored_view_is_the_next_movers_view(self, spec):
         arena = make_arena(parse_type(spec))
         for play in enumerate_ref_legal(arena, ref_check_sequential, 6):
@@ -443,6 +472,23 @@ class TestRandomPlays:
         assert ref(arena, play).legal
         if lang == SEQUENTIAL:
             assert state.views == [stored_half_view(play[:n]) for n in range(len(play) + 1)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_push_pop_walk_keeps_pending(self, data):
+        # random legal pushes and pops, in either language: ``pending`` is
+        # always the reference list of the current play's pending questions
+        spec = data.draw(st.sampled_from(SMALL_ARENAS))
+        lang = data.draw(st.sampled_from(LANGUAGES))
+        arena = make_arena(parse_type(spec))
+        state = _PlayState(arena, lang)
+        for _ in range(data.draw(st.integers(1, 30))):
+            exts = state.extensions()
+            if state.occ_move and (not exts or data.draw(st.booleans())):
+                state.pop()
+            else:
+                state.push(*data.draw(st.sampled_from(exts)))
+            assert state.pending == ref_pending(state.to_play())
 
 
 class TestPointedText:
