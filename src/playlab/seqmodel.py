@@ -17,15 +17,26 @@ the next step starts.  Layer 0's input term is row ``ids[:, t]`` of a
 table ``embedding @ w_x`` (V x 4H) made once per call; a deeper layer
 multiplies the hidden state just computed below it by its ``w_x``.  So no
 (B, T, 4H) input product is built, and evaluation keeps only the top
-layer's hidden states.  A training window fills batch-major records in the
-same loop; backward, the projection, the loss and every weight-gradient
-product take whole windows as before.  The bits equal those of a
-layer-major forward, which multiplies all B*T rows of a layer at once,
-because in OpenBLAS a row of a product does not depend on the other rows
-in the call.  ``tests/test_seqmodel.py`` checks that equality on every
-arena of the full grid, and its pinned digests check the trained bits.
-A one-row batch (B = 1) is the exception: numpy sends a (1, n) product to
-gemv, which rounds differently from gemm.
+layer's hidden states.  Evaluation also steps only the rows whose play is
+still going (see ``perplexity``).  A training window fills batch-major
+records in the same loop; backward, the projection, the loss and the
+weight-gradient products take whole windows, except layer 0's two input
+products, which go back through the token table: with S the per-token
+sums of layer 0's pre-activation gradients, w_x's gradient is
+``embedding.T @ S`` and the embedding's ``S @ w_x.T``.
+
+Gates: sigmoid(x) is computed as tanh(x/2)/2 + 1/2, so one ``np.tanh``
+covers all four packed gate blocks.
+
+Bits: in OpenBLAS a row of a product does not depend on the other rows in
+the call.  So the step-major forward equals a layer-major one, which
+multiplies all B*T rows of a layer at once, and a step over a suffix of
+an eval batch's rows equals those rows of the full batch's step.
+``tests/test_seqmodel.py`` checks the first on every arena of the full
+grid and the second against a forward over every padded position; its
+pinned digests check the trained bits.  A one-row product is the
+exception: numpy sends it to gemv, which rounds differently from gemm, so
+a one-row batch (B = 1) differs and an eval step keeps at least two rows.
 
 Parameter layout: every parameter lives in one contiguous float64
 ``LstmModel.vector``.  The named arrays (``embedding``, each
@@ -180,19 +191,22 @@ def init_model(config: ModelConfig) -> LstmModel:
     return model
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) below, and never overflows;
-    # the numerator is 1 where z >= 0 (ez <= 1 there) and ez below
-    ez = np.exp(-np.abs(z))
-    return np.maximum(ez, z >= 0) / (1.0 + ez)
-
-
 def _gates(z, c):
     """Gate math from packed pre-activations z and the previous cell state:
-    sigmoid gates, candidate, new cell state, its tanh, new hidden state."""
+    sigmoid gates, candidate, new cell state, its tanh, new hidden state.
+
+    ``z`` is overwritten with the packed activations [i f o g], and the
+    first two values are views into it.  One ``np.tanh`` covers all four
+    blocks, because sigmoid(x) = tanh(x/2)/2 + 1/2; that form never
+    overflows.
+    """
     H = z.shape[-1] // 4
-    s = _sigmoid(z[..., : 3 * H])
-    g = np.tanh(z[..., 3 * H :])
+    s = z[..., : 3 * H]
+    s *= 0.5
+    np.tanh(z, out=z)
+    s *= 0.5
+    s += 0.5
+    g = z[..., 3 * H :]
     c2 = s[..., H : 2 * H] * c + s[..., :H] * g
     tc = np.tanh(c2)
     return s, g, c2, tc, s[..., 2 * H : 3 * H] * tc
@@ -210,11 +224,11 @@ class _LayerRecord:
 
     The step-major loop fills it one step at a time, but it stays
     batch-major, so backward's weight-gradient products each take the
-    whole window as one matrix.  Layer 0's input is ``embedding[ids]``; a
-    deeper layer's is the ``hs`` of the layer below, not a copy.
+    whole window as one matrix.  A deeper layer's input is the ``hs`` of
+    the layer below, not a copy; layer 0's input is not kept at all, since
+    its gradients go through the token table (see ``_step``).
     """
 
-    x: np.ndarray  # (B, T, in_dim) input
     h0: np.ndarray  # (B, H) initial hidden state
     c0: np.ndarray  # (B, H) initial cell state
     hs: np.ndarray  # (B, T, H) hidden states, also the layer's output
@@ -223,10 +237,17 @@ class _LayerRecord:
     tc: np.ndarray  # (B, T, H) tanh of the cell states
 
 
-def _forward(model: LstmModel, ids, state, keep: bool):
+def _forward(model: LstmModel, ids, state, keep: bool, lengths=None):
     """Logits, the carried state, and (per-layer records, ids); the records
     are None unless ``keep``, which only a window that runs backward needs.
-    One step-major loop serves both (see the module docstring)."""
+    One step-major loop serves both (see the module docstring).
+
+    ``lengths``, for evaluation only, gives each row's play length in
+    ascending order.  Step t then runs only the rows whose play is still
+    going, a suffix, but never fewer than two rows (a one-row product goes
+    to gemv, which rounds differently).  The other rows' hidden states stay
+    zero, and the carried state returned covers only the last step's rows.
+    """
     config = model.config
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -237,29 +258,39 @@ def _forward(model: LstmModel, ids, state, keep: bool):
     H = config.hidden_dim
     if state is None:
         state = [(np.zeros((B, H)), np.zeros((B, H))) for _ in range(config.layers)]
+    # the first row each step runs; rows before it have ended
+    starts = [0] * T
+    if lengths is not None:
+        ended = np.searchsorted(lengths, np.arange(T), side="right")
+        starts = np.minimum(ended, max(B - 2, 0)).tolist()
     records = [None] * config.layers
     if keep:
-        x = model.embedding[ids]
         for l, (h0, c0) in enumerate(state):
-            records[l] = _LayerRecord(x, h0, c0, *(np.empty((B, T, n)) for n in (H, H, 4 * H, H)))
-            x = records[l].hs
-        top = x
+            records[l] = _LayerRecord(h0, c0, *(np.empty((B, T, n)) for n in (H, H, 4 * H, H)))
+        top = records[-1].hs
     else:
-        top = np.empty((B, T, H))
+        top = np.zeros((B, T, H))
     table = model.embedding @ model.cells[0].w_x
     h = [h0 for h0, _ in state]
     c = [c0 for _, c0 in state]
+    r0 = 0
     for t in range(T):
-        xw = table[ids[:, t]]
+        if starts[t] > r0:
+            h = [a[starts[t] - r0 :] for a in h]
+            c = [a[starts[t] - r0 :] for a in c]
+            r0 = starts[t]
+        xw = table[ids[r0:, t]]
         for l, (layer, rec) in enumerate(zip(model.cells, records)):
             if l:
                 xw = h[l - 1] @ layer.w_x
-            s, g, c[l], tc, h[l] = _gates(xw + h[l] @ layer.w_h + layer.bias, c[l])
+            # in place, with the bits of xw + h @ w_h + bias
+            z = h[l] @ layer.w_h
+            z += xw
+            z += layer.bias
+            _, _, c[l], tc, h[l] = _gates(z, c[l])
             if rec is not None:
-                rec.hs[:, t], rec.cs[:, t], rec.tc[:, t] = h[l], c[l], tc
-                rec.acts[:, t, : 3 * H] = s
-                rec.acts[:, t, 3 * H :] = g
-        top[:, t] = h[-1]
+                rec.hs[:, t], rec.cs[:, t], rec.tc[:, t], rec.acts[:, t] = h[l], c[l], tc, z
+        top[r0:, t] = h[-1]
     logits = (top.reshape(B * T, -1) @ model.proj + model.proj_bias).reshape(
         B, T, config.vocab_size
     )
@@ -297,7 +328,9 @@ def loss_bits(logits, targets, mask=None):
 
 
 def _backward_layer(layer: LayerParams, rec: _LayerRecord, dhs, grad: LayerParams):
-    """Writes the layer's gradients into ``grad``; returns the input gradient."""
+    """Writes the layer's w_h and bias gradients into ``grad``; returns the
+    (B*T, 4H) pre-activation gradients, from which the caller takes w_x's
+    gradient and the input gradient."""
     B, T, H = dhs.shape
     dz = np.empty((B, T, 4 * H))
     dh = np.zeros((B, H))
@@ -318,10 +351,9 @@ def _backward_layer(layer: LayerParams, rec: _LayerRecord, dhs, grad: LayerParam
     dz_flat = dz.reshape(B * T, 4 * H)
     # h_{t-1} of every step as one matrix, so w_h's gradient is one product
     hprev = np.concatenate((rec.h0[:, None], rec.hs[:, :-1]), axis=1)
-    np.matmul(rec.x.reshape(B * T, -1).T, dz_flat, out=grad.w_x)
     np.matmul(hprev.reshape(B * T, H).T, dz_flat, out=grad.w_h)
     np.sum(dz_flat, axis=0, out=grad.bias)
-    return (dz_flat @ layer.w_x.T).reshape(B, T, -1)
+    return dz_flat
 
 
 def _scatter_rows(ids, rows, V):
@@ -351,13 +383,24 @@ def _step(model: LstmModel, ids, targets, state):
     dflat /= LN2
     # every view is written in full below
     grads = LstmModel(model.config, np.empty_like(model.vector))
-    top = records[-1].hs.reshape(B * T, -1)
-    np.matmul(top.T, dflat, out=grads.proj)
+    np.matmul(records[-1].hs.reshape(B * T, -1).T, dflat, out=grads.proj)
     np.sum(dflat, axis=0, out=grads.proj_bias)
     d_out = (dflat @ model.proj.T).reshape(B, T, -1)
-    for l in reversed(range(len(model.cells))):
-        d_out = _backward_layer(model.cells[l], records[l], d_out, grads.cells[l])
-    grads.embedding[...] = _scatter_rows(ids_arr.reshape(-1), d_out.reshape(B * T, -1), V)
+    # the logits, and each layer's record once its backward is done, are
+    # dropped, so the later layers' backward runs with less memory held
+    del logits, flat, dflat
+    for l in range(len(model.cells) - 1, 0, -1):
+        layer = model.cells[l]
+        dz = _backward_layer(layer, records.pop(), d_out, grads.cells[l])
+        np.matmul(records[-1].hs.reshape(B * T, -1).T, dz, out=grads.cells[l].w_x)
+        d_out = (dz @ layer.w_x.T).reshape(B, T, -1)
+    # layer 0's input products go back through the token table: S is the
+    # (V, 4H) per-token sum of its dz rows (see the module docstring)
+    layer = model.cells[0]
+    dz = _backward_layer(layer, records.pop(), d_out, grads.cells[0])
+    S = _scatter_rows(ids_arr.reshape(-1), dz, V)
+    np.matmul(model.embedding.T, S, out=grads.cells[0].w_x)
+    np.matmul(S, layer.w_x.T, out=grads.embedding)
     return grads, bits, tg.size, new_state
 
 
@@ -411,7 +454,9 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
         if not math.isfinite(bits):
             raise FloatingPointError(f"non-finite loss at window {w}")
         clip_gradients(grads, MAX_GRAD_NORM)
-        model.vector -= lr * grads.vector
+        # in place, with the bits of model.vector - lr * grads.vector
+        grads.vector *= lr
+        model.vector -= grads.vector
         if not np.isfinite(model.vector).all():
             raise FloatingPointError(f"non-finite parameters after window {w}")
         try:
@@ -451,10 +496,13 @@ def perplexity(model: LstmModel, sequences, eval_batch: int = 64) -> Evaluation:
     targets the sequence itself, so the end-of-play token is predicted too.
     Sequences are evaluated in canonical sorted order with padding masked
     out, which makes the result independent of corpus line order.  Each
-    batch of ``eval_batch`` sequences pads to its longest one, so a large
-    ``eval_batch`` also computes the masked positions.  A batch's largest
-    buffers are the top layer's (B, T, H) hidden states and the (B, T, V)
-    logits; no (B, T, 4H) gate input is built.
+    batch of ``eval_batch`` sequences pads to its longest one, but the
+    recurrent steps run only the live rows: the batch is sorted by length,
+    so step t runs the suffix of plays still going (at least two rows).
+    The projection and the masked loss still cover the padded (B, T)
+    grid, so the bits are those of a forward over every padded position.
+    A batch's largest buffers are the top layer's (B, T, H) hidden states
+    and the (B, T, V) logits; no (B, T, 4H) gate input is built.
     """
     if eval_batch < 1:
         raise ValueError(f"eval_batch must be >= 1, got {eval_batch}")
@@ -468,16 +516,15 @@ def perplexity(model: LstmModel, sequences, eval_batch: int = 64) -> Evaluation:
     total_count = 0
     for lo in range(0, len(order), eval_batch):
         group = [seqs[k] for k in order[lo : lo + eval_batch]]
-        B = len(group)
-        T = max(s.size for s in group)
+        lengths = np.array([s.size for s in group])
+        B, T = len(group), int(lengths[-1])
         x = np.zeros((B, T), dtype=np.int64)
         y = np.zeros((B, T), dtype=np.int64)
-        mask = np.zeros((B, T), dtype=bool)
         for r, s in enumerate(group):
             x[r, 1 : s.size] = s[:-1]
             y[r, : s.size] = s
-            mask[r, : s.size] = True
-        logits, _ = forward(model, x)
+        mask = np.arange(T) < lengths[:, None]
+        logits, _, _ = _forward(model, x, None, keep=False, lengths=lengths)
         bits, count = loss_bits(logits, y, mask)
         total_bits += bits
         total_count += count

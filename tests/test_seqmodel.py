@@ -126,11 +126,13 @@ class TestLayout:
 
 
 class TestPinnedBits:
-    # sha256 of save_model bytes, recorded before the parameters moved into
-    # one vector; trained bits depend on the BLAS build (these are from
-    # numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64)
+    # sha256 of save_model bytes: INIT recorded before the parameters moved
+    # into one vector, TRAINED when the gates took the one-tanh form and
+    # layer 0's gradients went through the token table; trained bits depend
+    # on the BLAS build (these are from numpy 2.4.6 with OpenBLAS 0.3.31 on
+    # x86-64)
     INIT = "02a6929eef05cbf4af6f94a0100d3522032e9c02eb919632c53c7306419086c1"
-    TRAINED = "349859e751d12256216958db96c9a5a0200f98fec985d1a8c9610a351b1827ae"
+    TRAINED = "6f38ac7f7a723007212a6c0d7cf762c8d2d0d0f1c327b8af34c5fda609e7b0e3"
 
     def test_container_digests(self, tmp_path):
         def digest(model):
@@ -142,14 +144,14 @@ class TestPinnedBits:
         train_model(model, substream(5, "corpus").integers(0, 5, 200))
         assert digest(model) == self.TRAINED
 
-    # repr of perplexity(...).total_bits, recorded before eval stopped
-    # building backward records; the init model's two batch sizes differ in
-    # the last bit, so a change of grouping or summation order shows
+    # repr of perplexity(...).total_bits, the trained ones recorded with
+    # TRAINED; the init model's two batch sizes differ in the last bit, so a
+    # change of grouping or summation order shows
     EVAL_BITS = {
         ("init", 64): "469.02927465792766",
         ("init", 3): "469.0292746579278",
-        ("trained", 64): "667.2239750939154",
-        ("trained", 3): "667.2239750939154",
+        ("trained", 64): "667.2239750939153",
+        ("trained", 3): "667.2239750939153",
     }
 
     def test_eval_bits(self):
@@ -659,3 +661,165 @@ class TestContainer:
 
         with pytest.raises(ModelFormatError):
             load_model(self._mangle(tmp_path, pad))
+
+
+def reference_backward(model, ids, targets, state):
+    """Every gradient of loss_bits over the window, written out directly:
+    layer 0's input is the matrix embedding[ids], each w_x gradient is
+    X.T @ dz over the window's B*T rows, and the embedding gradient adds
+    the input gradient's rows by token with np.add.at."""
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    B, T = ids.shape
+    H, V = model.config.hidden_dim, model.config.vocab_size
+    xs, saved = [model.embedding[ids]], []
+    for layer, (h, c) in zip(model.cells, state):
+        x = xs[-1]
+        hs, cs, gates = np.empty((B, T, H)), np.empty((B, T, H)), np.empty((B, T, 4, H))
+        for t in range(T):
+            z = (x[:, t] @ layer.w_x + h @ layer.w_h + layer.bias).reshape(B, 4, H)
+            i, f, o, g = sig(z[:, 0]), sig(z[:, 1]), sig(z[:, 2]), np.tanh(z[:, 3])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            hs[:, t], cs[:, t], gates[:, t] = h, c, np.stack([i, f, o, g], axis=1)
+        saved.append((h, c, hs, cs, gates))
+        xs.append(hs)
+    top = xs[-1].reshape(B * T, H)
+    logits = top @ model.proj + model.proj_bias
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(B * T), np.asarray(targets).reshape(-1)] -= 1.0
+    dlogits = p / math.log(2.0)
+    grads = LstmModel(model.config)
+    grads.proj[...] = top.T @ dlogits
+    grads.proj_bias[...] = dlogits.sum(axis=0)
+    d_out = (dlogits @ model.proj.T).reshape(B, T, H)
+    for l in reversed(range(model.config.layers)):
+        layer, (h0, c0) = model.cells[l], state[l]
+        _, _, hs, cs, gates = saved[l]
+        dz = np.empty((B, T, 4 * H))
+        dh, dc = np.zeros((B, H)), np.zeros((B, H))
+        for t in reversed(range(T)):
+            i, f, o, g = (gates[:, t, k] for k in range(4))
+            cprev = cs[:, t - 1] if t else c0
+            dh = dh + d_out[:, t]
+            tc = np.tanh(cs[:, t])
+            dc = dc + dh * o * (1 - tc**2)
+            dz[:, t] = np.concatenate([dc * g * i * (1 - i), dc * cprev * f * (1 - f),
+                                       dh * tc * o * (1 - o), dc * i * (1 - g**2)], axis=1)
+            dh = dz[:, t] @ layer.w_h.T
+            dc = dc * f
+        dz = dz.reshape(B * T, 4 * H)
+        X = xs[l].reshape(B * T, -1)
+        hprev = np.concatenate([h0[:, None], hs[:, :-1]], axis=1).reshape(B * T, H)
+        grads.cells[l].w_x[...] = X.T @ dz
+        grads.cells[l].w_h[...] = hprev.T @ dz
+        grads.cells[l].bias[...] = dz.sum(axis=0)
+        d_out = (dz @ layer.w_x.T).reshape(B, T, -1)
+    np.add.at(grads.embedding, ids.reshape(-1), d_out.reshape(B * T, -1))
+    return grads
+
+
+class TestTableGradients:
+    # Layer 0's w_x and embedding gradients go through the per-token sums
+    # of its dz rows (the transpose of the forward's embedding @ w_x table),
+    # not through embedding[ids]; they agree with the direct products up to
+    # summation order.
+    @pytest.mark.parametrize("case", ["absent", "repeated", "one_row", "h200", "carried"])
+    def test_matches_reference_backward(self, case):
+        V, H, B, T = 9, 4, 3, 5
+        if case == "h200":
+            V, H, B, T = 40, 200, 20, 20
+        if case == "one_row":
+            B = 1
+        config = ModelConfig(vocab_size=V, embed_dim=H, hidden_dim=H, seed=len(case))
+        model = init_model(config)
+        rng = substream(config.seed, "table")
+        ids = rng.integers(0, V, (B, T))
+        if case == "absent":
+            ids = rng.integers(0, 4, (B, T))  # tokens 4..8 never occur
+        if case == "repeated":
+            ids = np.full((B, T), 2)
+        targets = rng.integers(0, V, (B, T))
+        state = [(np.zeros((B, H)), np.zeros((B, H)))] * config.layers
+        if case == "carried":
+            _, state = forward(model, rng.integers(0, V, (B, T)))
+        got = backward(model, ids, targets, state)
+        want = reference_backward(model, ids, targets, state)
+        for (name, g), (_, w) in zip(got.params(), want.params()):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+        absent = np.setdiff1d(np.arange(V), ids)
+        assert not got.embedding[absent].any()
+        assert case != "absent" or absent.size == V - 4
+
+
+def padded_groups(seqs, eval_batch):
+    """(inputs, targets, mask, lengths) of each eval batch, padded to its
+    longest play, in perplexity's canonical order."""
+    order = sorted(range(len(seqs)), key=lambda k: (len(seqs[k]), list(seqs[k])))
+    for lo in range(0, len(order), eval_batch):
+        group = [seqs[k] for k in order[lo : lo + eval_batch]]
+        T = max(len(s) for s in group)
+        x = np.zeros((len(group), T), np.int64)
+        y = np.zeros((len(group), T), np.int64)
+        mask = np.zeros((len(group), T), bool)
+        for r, s in enumerate(group):
+            x[r, 1 : len(s)] = s[:-1]
+            y[r, : len(s)] = s
+            mask[r, : len(s)] = True
+        yield x, y, mask, np.array([len(s) for s in group])
+
+
+def padded_perplexity(model, seqs, eval_batch):
+    """(total bits, token count) with every batch run over all its padded
+    positions: forward over the whole (B, T) grid, then the masked loss."""
+    total_bits, total_count = 0.0, 0
+    for x, y, mask, _ in padded_groups(seqs, eval_batch):
+        bits, count = loss_bits(forward(model, x)[0], y, mask)
+        total_bits += bits
+        total_count += count
+    return total_bits, total_count
+
+
+def eval_case(corpus, hidden):
+    """A model and an eval corpus: a trained small model or an untrained
+    hidden-128 one, and plays of mixed lengths, plays where the longest
+    runs on for many steps after all the others end, or one play."""
+    config = ModelConfig(vocab_size=7, embed_dim=hidden, hidden_dim=hidden,
+                         unroll=5, batch=4, epochs=2, seed=5)
+    model = init_model(config)
+    rng = substream(hidden, "live")
+    if hidden == 4:
+        train_model(model, rng.integers(0, 7, 300))
+    if corpus == "mixed":
+        seqs = [rng.integers(0, 7, rng.integers(1, 12)) for _ in range(40)]
+    elif corpus == "one_long":
+        seqs = [rng.integers(0, 7, rng.integers(1, 5)) for _ in range(9)]
+        seqs.append(rng.integers(0, 7, 30))
+    else:
+        seqs = [rng.integers(0, 7, 13)]
+    return model, seqs
+
+
+class TestLiveRowEval:
+    # perplexity steps only the rows whose play is still going (never fewer
+    # than two); its bits equal those of a forward over every padded position
+    @pytest.mark.parametrize("hidden", [4, 128])
+    @pytest.mark.parametrize("corpus", ["mixed", "one_long", "one_play"])
+    def test_matches_full_padding(self, corpus, hidden):
+        model, seqs = eval_case(corpus, hidden)
+        for batch in (64, 3, 2, 1):
+            got = perplexity(model, seqs, eval_batch=batch)
+            want_bits, want_count = padded_perplexity(model, seqs, batch)
+            assert got.token_count == want_count
+            assert repr(got.total_bits) == repr(want_bits), batch
+
+    @pytest.mark.parametrize("hidden", [4, 128])
+    @pytest.mark.parametrize("corpus", ["mixed", "one_long", "one_play"])
+    def test_keeps_every_live_logit(self, corpus, hidden):
+        # a total of bits can hide a last-bit change in one logit; compare
+        # every unmasked logit of the live-row forward with the full one
+        model, seqs = eval_case(corpus, hidden)
+        for batch in (64, 3, 2, 1):
+            for x, _, mask, lengths in padded_groups(seqs, batch):
+                live, _, _ = _forward(model, x, None, keep=False, lengths=lengths)
+                assert np.array_equal(live[mask], forward(model, x)[0][mask]), batch
