@@ -16,7 +16,7 @@ from . import corpus as corpuslib
 from . import experiment as exp
 from . import play as playlib
 from . import seqmodel
-from .arena import UnknownMoveError, make_arena, parse_type
+from .arena import UnknownMoveError, make_arena, parse_type, render_type
 
 # the ModelConfig fields `train` has a flag for: the corpus's arena fixes
 # vocab_size, and seed is a required flag
@@ -171,6 +171,7 @@ def _cmd_train(args) -> int:
     sizes = {name: getattr(args, name) for name in TRAIN_FIELDS}
     config = seqmodel.ModelConfig(vocab_size=len(vocab), seed=args.seed, **sizes)
     model = seqmodel.init_model(config)
+    model.arena = render_type(corpus.arena.tree)
     ids = vocab.encode(t for seq in corpus.plays for t in seq)
 
     def progress(epoch, log):
@@ -192,6 +193,10 @@ def _cmd_eval(args) -> int:
             f"model vocabulary size {model.config.vocab_size} does not match "
             f"corpus arena vocabulary size {len(vocab)}"
         )
+    # a version-1 container records no arena, so only the size is checked
+    arena = render_type(corpus.arena.tree)
+    if model.arena is not None and model.arena != arena:
+        raise CliError(f"model was trained on arena {model.arena!r}, corpus arena is {arena!r}")
     result = seqmodel.perplexity(model, [vocab.encode(seq) for seq in corpus.plays])
     print(f"PPL={result.perplexity!r}")
     return 0

@@ -2,9 +2,15 @@
 
 Two stacked LSTM layers by default, trained by truncated backpropagation
 through time with plain SGD and gradient clipping, evaluated in bits per
-token (perplexity is 2 to the mean bits).  Everything is float64 numpy:
-the models are small, so precision is cheap and finite-difference gradient
-checks are meaningful.
+token (perplexity is 2 to the mean bits).
+
+Precision: parameters, activations and gradients are float32 (``DTYPE``).
+The logits are upcast to float64 for the softmax, the loss and the
+softmax gradient, and the clip norm sums squares in float64, so bit totals
+and norms are float64 sums (the wide softmax and loss of mixed-precision
+training, Micikevicius et al. 2018).  Every buffer takes the dtype of
+``model.vector``, so a float64 model, such as a gradient check builds or a
+version-1 container holds, runs the same code in float64 throughout.
 
 Shape conventions: batch B, window T, vocab V, embed D, hidden H.  Gate
 pre-activations are packed along the last axis as [input, forget, output,
@@ -28,24 +34,27 @@ sums of layer 0's pre-activation gradients, w_x's gradient is
 Gates: sigmoid(x) is computed as tanh(x/2)/2 + 1/2, so one ``np.tanh``
 covers all four packed gate blocks.
 
-Bits: in OpenBLAS a row of a product does not depend on the other rows in
-the call.  So the step-major forward equals a layer-major one, which
-multiplies all B*T rows of a layer at once, and a step over a suffix of
-an eval batch's rows equals those rows of the full batch's step.
+Bits: in OpenBLAS, in sgemm as in dgemm, a row of a product does not
+depend on the other rows in the call.  So the step-major forward equals a
+layer-major one, which multiplies all B*T rows of a layer at once, and a
+step over a suffix of an eval batch's rows equals those rows of the full
+batch's step.
 ``tests/test_seqmodel.py`` checks the first on every arena of the full
-grid and the second against a forward over every padded position; its
-pinned digests check the trained bits.  A one-row product is the
-exception: numpy sends it to gemv, which rounds differently from gemm, so
-a one-row batch (B = 1) differs and an eval step keeps at least two rows.
+grid and the second against a forward over every padded position, each
+in both dtypes; its pinned digests check the trained bits.  A one-row
+product is the exception: numpy sends it to gemv, which rounds
+differently from gemm, so a one-row batch (B = 1) differs and an eval
+step keeps at least two rows.
 
-Parameter layout: every parameter lives in one contiguous float64
+Parameter layout: every parameter lives in one contiguous
 ``LstmModel.vector``.  The named arrays (``embedding``, each
 ``cells[l].w_x``, ``w_h``, ``bias``, then ``proj`` and ``proj_bias``) are
 reshaped views into it, with no gap, in the order of the one name/shape
 table ``_layout``.  Gradients mirror it: ``backward`` returns an
 ``LstmModel`` over a gradient vector, so clip scaling, the SGD step and
 the finite check are each one vector operation.  The container payload
-is the vector's bytes.
+is the vector's bytes; a version-2 config block also records its dtype and
+the model's arena.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ from .rng import substream
 LN2 = math.log(2.0)
 
 MAGIC = b"PLLM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 1: float64 payload, no dtype or arena in the config block
 
 
 class ModelFormatError(ValueError):
@@ -73,6 +82,7 @@ class ModelFormatError(ValueError):
 # the fixed training recipe of Zaremba et al. (2014)
 MAX_GRAD_NORM = 5.0  # global L2 norm each window's gradients are clipped to
 INIT_SCALE = 0.1  # weights start uniform on [-INIT_SCALE, INIT_SCALE]
+DTYPE = np.float32  # of parameters, activations and gradients; the loss is float64
 
 
 def learning_rate(epoch: int) -> float:
@@ -98,22 +108,25 @@ class ModelConfig:
             if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
-    def to_json(self) -> str:
+    def to_json(self, **stored) -> str:
         """The fields plus the fixed recipe, so a container records how its
-        model was trained."""
+        model was trained, plus the ``stored`` keys (``save_model`` adds
+        the payload's dtype and the arena)."""
         return json.dumps(dict(
             asdict(self),
             lr_schedule=[learning_rate(e) for e in range(1, self.epochs + 1)],
             max_grad_norm=MAX_GRAD_NORM,
             init_scale=INIT_SCALE,
+            **stored,
         ), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
         """The fields; the recorded recipe is skipped, so containers written
-        while the recipe was settable still load."""
+        while the recipe was settable still load, and so are the payload's
+        dtype and the arena, which ``load_model`` reads."""
         fields = json.loads(text)
-        for key in ("lr_schedule", "max_grad_norm", "init_scale"):
+        for key in ("lr_schedule", "max_grad_norm", "init_scale", "dtype", "arena"):
             fields.pop(key, None)
         return cls(**fields)
 
@@ -128,15 +141,25 @@ class LayerParams:
 
 
 class LstmModel:
-    """Parameters (or gradients) as named views into one float64 ``vector``."""
+    """Parameters (or gradients) as named views into one ``vector``: zeros of
+    ``DTYPE`` unless a float32 or float64 vector is given, and every
+    computation on the model runs in that vector's dtype.
 
-    def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
+    ``arena`` is the ``render_type`` of the arena the model was trained on,
+    or None when unknown; the container records it (format version 2).
+    """
+
+    def __init__(self, config: ModelConfig, vector: np.ndarray | None = None,
+                 arena: str | None = None):
         layout = _layout(config)
         size = sum(math.prod(shape) for _, shape in layout)
-        vector = np.zeros(size) if vector is None else vector
-        if vector.shape != (size,) or vector.dtype != np.float64 or not vector.flags.c_contiguous:
-            raise ValueError(f"expected a contiguous float64 vector of {size} parameters")
-        self.config, self.vector = config, vector
+        vector = np.zeros(size, DTYPE) if vector is None else vector
+        if (vector.shape != (size,) or vector.dtype not in (np.float32, np.float64)
+                or not vector.flags.c_contiguous):
+            raise ValueError(
+                f"expected a contiguous float32 or float64 vector of {size} parameters"
+            )
+        self.config, self.vector, self.arena = config, vector, arena
         self._params, offset = [], 0
         for name, shape in layout:
             n = math.prod(shape)
@@ -178,7 +201,8 @@ def init_model(config: ModelConfig) -> LstmModel:
     (seed, "init"); biases zero except forget-gate blocks at 1.0.
 
     Draw order is fixed (embedding, then each layer's w_x and w_h, then the
-    projection) so a seed pins the model bit-for-bit.
+    projection) so a seed pins the model bit-for-bit.  The draws are
+    float64, rounded to ``DTYPE`` as they are stored.
     """
     rng = substream(config.seed, "init")
     model = LstmModel(config)
@@ -256,8 +280,9 @@ def _forward(model: LstmModel, ids, state, keep: bool, lengths=None):
         raise ValueError("token id out of range")
     B, T = ids.shape
     H = config.hidden_dim
+    dtype = model.vector.dtype
     if state is None:
-        state = [(np.zeros((B, H)), np.zeros((B, H))) for _ in range(config.layers)]
+        state = [(np.zeros((B, H), dtype), np.zeros((B, H), dtype)) for _ in range(config.layers)]
     # the first row each step runs; rows before it have ended
     starts = [0] * T
     if lengths is not None:
@@ -266,10 +291,12 @@ def _forward(model: LstmModel, ids, state, keep: bool, lengths=None):
     records = [None] * config.layers
     if keep:
         for l, (h0, c0) in enumerate(state):
-            records[l] = _LayerRecord(h0, c0, *(np.empty((B, T, n)) for n in (H, H, 4 * H, H)))
+            records[l] = _LayerRecord(
+                h0, c0, *(np.empty((B, T, n), dtype) for n in (H, H, 4 * H, H))
+            )
         top = records[-1].hs
     else:
-        top = np.zeros((B, T, H))
+        top = np.zeros((B, T, H), dtype)
     table = model.embedding @ model.cells[0].w_x
     h = [h0 for h0, _ in state]
     c = [c0 for _, c0 in state]
@@ -310,15 +337,17 @@ def forward(model: LstmModel, ids, state=None):
 
 
 def _log_sum_exp(flat):
-    """Row-wise log of the softmax normaliser of a (N, V) logit matrix."""
+    """Row-wise log of the softmax normaliser of a (N, V) logit matrix
+    (float64, as the callers upcast it)."""
     m = flat.max(axis=1)
     return m + np.log(np.exp(flat - m[:, None]).sum(axis=1))
 
 
 def loss_bits(logits, targets, mask=None):
-    """Total cross-entropy in bits over the window and the token count."""
+    """Total cross-entropy in bits over the window and the token count,
+    computed in float64 whatever the logits' dtype."""
     V = logits.shape[-1]
-    flat = logits.reshape(-1, V)
+    flat = logits.reshape(-1, V).astype(np.float64, copy=False)
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
     nll = _log_sum_exp(flat) - flat[np.arange(flat.shape[0]), tg]
     if mask is not None:
@@ -332,9 +361,9 @@ def _backward_layer(layer: LayerParams, rec: _LayerRecord, dhs, grad: LayerParam
     (B*T, 4H) pre-activation gradients, from which the caller takes w_x's
     gradient and the input gradient."""
     B, T, H = dhs.shape
-    dz = np.empty((B, T, 4 * H))
-    dh = np.zeros((B, H))
-    dc = np.zeros((B, H))
+    dz = np.empty((B, T, 4 * H), dhs.dtype)
+    dh = np.zeros((B, H), dhs.dtype)
+    dc = np.zeros((B, H), dhs.dtype)
     for t in reversed(range(T)):
         dh = dh + dhs[:, t]
         a, tc = rec.acts[:, t], rec.tc[:, t]
@@ -360,12 +389,15 @@ def _scatter_rows(ids, rows, V):
     """(V, D) sums of the (N, D) ``rows`` by their (N,) token ``ids``.
 
     One bincount over the flat (token, column) indices.  Each sum adds its
-    rows in position order starting from zero, as ``np.add.at`` does, so
-    the bits are the same at a fraction of the time.
+    rows in position order starting from zero, as ``np.add.at`` into a
+    float64 array does, so the bits are the same at a fraction of the
+    time.  bincount sums in float64; the sums are rounded to the rows'
+    dtype.
     """
     D = rows.shape[1]
     index = (ids.reshape(-1, 1) * D + np.arange(D)).reshape(-1)
-    return np.bincount(index, rows.reshape(-1), minlength=V * D).reshape(V, D)
+    sums = np.bincount(index, rows.reshape(-1), minlength=V * D).reshape(V, D)
+    return sums.astype(rows.dtype, copy=False)
 
 
 def _step(model: LstmModel, ids, targets, state):
@@ -373,7 +405,8 @@ def _step(model: LstmModel, ids, targets, state):
     incoming state (no gradient flows into it)."""
     logits, new_state, (records, ids_arr) = _forward(model, ids, state, keep=True)
     B, T, V = logits.shape
-    flat = logits.reshape(B * T, V)
+    # the softmax, the loss and its gradient run in float64
+    flat = logits.reshape(B * T, V).astype(np.float64, copy=False)
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
     lse = _log_sum_exp(flat)
     rows = np.arange(flat.shape[0])
@@ -381,6 +414,7 @@ def _step(model: LstmModel, ids, targets, state):
     dflat = np.exp(flat - lse[:, None])
     dflat[rows, tg] -= 1.0
     dflat /= LN2
+    dflat = dflat.astype(model.vector.dtype, copy=False)
     # every view is written in full below
     grads = LstmModel(model.config, np.empty_like(model.vector))
     np.matmul(records[-1].hs.reshape(B * T, -1).T, dflat, out=grads.proj)
@@ -413,8 +447,12 @@ def backward(model: LstmModel, ids, targets, state=None) -> LstmModel:
 def clip_gradients(grads: LstmModel, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm;
     returns the pre-clip norm."""
-    # summed per array: one whole-vector dot product rounds differently
-    total = math.sqrt(sum(float((g * g).sum()) for _, g in grads.params()))
+    # squares in float64, where a float32 gradient of 1.8e19 would square
+    # to inf; summed per array, as one whole-vector dot product rounds
+    # differently
+    total = math.sqrt(
+        sum(float(np.square(g, dtype=np.float64).sum()) for _, g in grads.params())
+    )
     if total > max_norm:
         grads.vector *= max_norm / total
     return total
@@ -532,9 +570,10 @@ def perplexity(model: LstmModel, sequences, eval_batch: int = 64) -> Evaluation:
 
 
 def save_model(model: LstmModel, path) -> None:
-    """Versioned container: magic, version, config JSON, the parameter
-    vector, sha256 of everything before it; written atomically."""
-    blob = model.config.to_json().encode("utf-8")
+    """Versioned container: magic, version, config JSON (with the vector's
+    dtype and the model's arena), the parameter vector, sha256 of
+    everything before it; written atomically."""
+    blob = model.config.to_json(dtype=model.vector.dtype.name, arena=model.arena).encode("utf-8")
     payload = bytearray()
     payload += MAGIC
     payload += FORMAT_VERSION.to_bytes(4, "little")
@@ -554,17 +593,34 @@ def load_model(path) -> LstmModel:
     if hashlib.sha256(body).digest() != digest:
         raise ModelFormatError("checksum mismatch (corrupt or truncated file)")
     version = int.from_bytes(body[4:8], "little")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ModelFormatError(f"unsupported format version {version}")
     blob_len = int.from_bytes(body[8:16], "little")
     offset = 16 + blob_len
     try:
-        config = ModelConfig.from_json(body[16:offset].decode("utf-8"))
+        text = body[16:offset].decode("utf-8")
+        config = ModelConfig.from_json(text)
+        dtype, arena = _stored_fields(text, version)
     except (ValueError, TypeError, AttributeError) as e:
         raise ModelFormatError(f"bad config block: {e}") from None
     n = sum(math.prod(shape) for _, shape in _layout(config))
-    if offset + 8 * n > len(body):
+    end = offset + dtype.itemsize * n
+    if end > len(body):
         raise ModelFormatError("parameter block shorter than config implies")
-    if offset + 8 * n != len(body):
+    if end != len(body):
         raise ModelFormatError("trailing bytes after parameter block")
-    return LstmModel(config, np.frombuffer(body, np.float64, n, offset).copy())
+    return LstmModel(config, np.frombuffer(body, dtype, n, offset).copy(), arena)
+
+
+def _stored_fields(text: str, version: int) -> tuple[np.dtype, str | None]:
+    """The payload dtype and the arena a config block records; version 1
+    stored float64 and no arena."""
+    if version == 1:
+        return np.dtype(np.float64), None
+    block = json.loads(text)
+    dtype, arena = block.get("dtype"), block.get("arena")
+    if dtype not in ("float32", "float64"):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+    if arena is not None and not isinstance(arena, str):
+        raise ValueError(f"arena must be a type expression, got {arena!r}")
+    return np.dtype(dtype), arena

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 import playlab.fileio
@@ -103,3 +104,12 @@ def rewrite_config(path, **fields) -> None:
     blob = json.dumps(recorded, sort_keys=True).encode("utf-8")
     body = data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:-32]
     path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def version1_container(model) -> bytes:
+    """``model`` in the container layout of format version 1: the config
+    block without the dtype and arena keys, and a float64 payload."""
+    blob = model.config.to_json().encode("utf-8")
+    body = (b"PLLM" + (1).to_bytes(4, "little") + len(blob).to_bytes(8, "little") + blob
+            + model.vector.astype(np.float64).tobytes())
+    return body + hashlib.sha256(body).digest()

@@ -256,7 +256,8 @@ def test_criterion_06_gradient_check():
         vocab_size=4, embed_dim=8, hidden_dim=8, layers=2,
         unroll=4, batch=3, epochs=1, seed=5,
     )
-    model = init_model(config)
+    # in float64, where a 1e-5 central difference is meaningful
+    model = LstmModel(config, init_model(config).vector.astype(np.float64))
     rng = substream(5, "gradcheck")
     ids = rng.integers(0, 4, (3, 4))
     targets = rng.integers(0, 4, (3, 4))

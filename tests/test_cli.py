@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import playlab
@@ -15,9 +16,22 @@ from playlab.arena import make_arena, parse_type
 from playlab.cli import _build_parser, main
 from playlab.corpus import MAX_LEN, PERTURB_RATIO, build_vocab, read_corpus
 from playlab.play import format_pointed
-from playlab.seqmodel import ModelConfig, init_model, load_model, save_model
+from playlab.seqmodel import (
+    LstmModel,
+    ModelConfig,
+    init_model,
+    load_model,
+    perplexity,
+    save_model,
+)
 
-from conftest import PAR_COMPOSITION_PLAY, SEQ_COMPOSITION_PLAY, TINY_SPEC, rewrite_config
+from conftest import (
+    PAR_COMPOSITION_PLAY,
+    SEQ_COMPOSITION_PLAY,
+    TINY_SPEC,
+    rewrite_config,
+    version1_container,
+)
 
 TWO_ARG = "unit -> unit -> unit"
 
@@ -355,6 +369,37 @@ class TestTrainEval:
         model_path = self.train_tiny(tmp_path, capsys, corpus_path)
         other = gen_corpus(tmp_path, "o.plays", arena=TWO_ARG, count=5)
         assert main(["eval", "--model", str(model_path), "--corpus", str(other)]) == 1
+        assert "does not match" in capsys.readouterr().err
+
+    def test_eval_rejects_a_model_of_another_arena(self, tmp_path, capsys):
+        # both arenas have 7 tokens, so only the recorded arena tells them apart
+        corpus_path = gen_corpus(tmp_path, arena=TWO_ARG, count=120, max_len=8)
+        model_path = self.train_tiny(tmp_path, capsys, corpus_path)
+        assert load_model(model_path).arena == TWO_ARG
+        other = gen_corpus(tmp_path, "o.plays", arena="(unit->unit)->unit", count=5)
+        assert main(["eval", "--model", str(model_path), "--corpus", str(other)]) == 1
+        assert capsys.readouterr().err == (
+            "error: model was trained on arena 'unit -> unit -> unit', "
+            "corpus arena is '(unit -> unit) -> unit'\n"
+        )
+
+    def test_eval_loads_a_version_1_container(self, tmp_path, capsys):
+        # float64 and no recorded arena: only the vocabulary size is checked
+        config = ModelConfig(vocab_size=7, embed_dim=4, hidden_dim=4, seed=2)
+        model = LstmModel(config, init_model(config).vector.astype(np.float64))
+        model_path = tmp_path / "v1.model"
+        model_path.write_bytes(version1_container(model))
+        loaded = load_model(model_path)
+        assert loaded.vector.dtype == np.float64 and loaded.arena is None
+        assert np.array_equal(loaded.vector, model.vector)
+        for arena in (TWO_ARG, "(unit -> unit) -> unit"):
+            corpus_path = gen_corpus(tmp_path, arena=arena, count=5)
+            assert main(["eval", "--model", str(model_path), "--corpus", str(corpus_path)]) == 0
+            vocab = build_vocab(make_arena(parse_type(arena)))
+            plays = [vocab.encode(seq) for seq in read_corpus(corpus_path).plays]
+            assert capsys.readouterr().out == f"PPL={perplexity(model, plays).perplexity!r}\n"
+        unit = gen_corpus(tmp_path, count=5)
+        assert main(["eval", "--model", str(model_path), "--corpus", str(unit)]) == 1
         assert "does not match" in capsys.readouterr().err
 
     def test_eval_non_integer_config_is_domain_error(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,13 +35,28 @@ from playlab.seqmodel import (
 )
 from playlab.seqmodel import _forward, _gates, _scatter_rows
 
-from conftest import config_block, rewrite_config
+from conftest import config_block, rewrite_config, version1_container
 from oracles import scalar_lstm_step
 
 
 def softmax(logits):
+    """In float64, as the model's softmax is, whatever the logits' dtype."""
+    logits = np.asarray(logits, np.float64)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+class AtFloat64:
+    """Base of a test class whose models are float64: ``init_model`` and
+    ``LstmModel`` build them in ``seqmodel.DTYPE``, set here for each test.
+    A subclass that sets ``DTYPE = np.float32`` runs the same checks on
+    float32 models."""
+
+    DTYPE = np.float64
+
+    @pytest.fixture(autouse=True)
+    def _model_dtype(self, monkeypatch):
+        monkeypatch.setattr(seqmodel, "DTYPE", self.DTYPE)
 
 
 def tiny_config(**kw):
@@ -105,7 +121,7 @@ def assert_layout(model):
     """Every params() array is a writable view into model.vector, and the
     arrays tile the vector in order with no gap."""
     vector = model.vector
-    assert vector.dtype == np.float64 and vector.flags.c_contiguous
+    assert vector.dtype == seqmodel.DTYPE and vector.flags.c_contiguous
     offset = 0
     for name, p in model.params():
         assert np.shares_memory(p, vector), name
@@ -115,7 +131,7 @@ def assert_layout(model):
     assert offset == vector.size
 
 
-class TestLayout:
+class TestLayout(AtFloat64):
     @pytest.mark.parametrize("source", ["init", "load"])
     def test_params_tile_one_vector(self, tmp_path, source):
         model = init_model(tiny_config())
@@ -125,14 +141,17 @@ class TestLayout:
         assert_layout(model)
 
 
+class TestLayoutFloat32(TestLayout):
+    DTYPE = np.float32
+
+
 class TestPinnedBits:
-    # sha256 of save_model bytes: INIT recorded before the parameters moved
-    # into one vector, TRAINED when the gates took the one-tanh form and
-    # layer 0's gradients went through the token table; trained bits depend
-    # on the BLAS build (these are from numpy 2.4.6 with OpenBLAS 0.3.31 on
-    # x86-64)
-    INIT = "02a6929eef05cbf4af6f94a0100d3522032e9c02eb919632c53c7306419086c1"
-    TRAINED = "6f38ac7f7a723007212a6c0d7cf762c8d2d0d0f1c327b8af34c5fda609e7b0e3"
+    # sha256 of save_model bytes: INIT and TRAINED recorded when the model
+    # dtype became float32 (container format 2, which records the dtype);
+    # trained bits depend on the BLAS build (these are sgemm bits of numpy
+    # 2.4.6 with OpenBLAS 0.3.31 on x86-64)
+    INIT = "462685a5ddc8b58b26c2cf163b4b493c2bf5814795af26741b53c29e34f35fd4"
+    TRAINED = "11196e0eb96d734fcdd60386b2950fb9365de891612443b8f6763e0554c10131"
 
     def test_container_digests(self, tmp_path):
         def digest(model):
@@ -144,26 +163,52 @@ class TestPinnedBits:
         train_model(model, substream(5, "corpus").integers(0, 5, 200))
         assert digest(model) == self.TRAINED
 
-    # repr of perplexity(...).total_bits, the trained ones recorded with
-    # TRAINED; the init model's two batch sizes differ in the last bit, so a
-    # change of grouping or summation order shows
+    # repr of perplexity(...).total_bits, recorded with INIT and TRAINED
     EVAL_BITS = {
+        ("init", 64): "469.02927465798376",
+        ("init", 3): "469.02927465798376",
+        ("trained", 64): "667.2239303276563",
+        ("trained", 3): "667.2239303276563",
+    }
+
+    def test_eval_bits(self):
+        assert self.eval_bits(init_model(tiny_config())) == self.EVAL_BITS
+
+    # The float64 path: sha256 of the parameter vector's bytes, and the eval
+    # bits, of a float64 model from the un-rounded init draws.  Recorded
+    # while float64 was the only dtype (with the one-tanh gates and layer
+    # 0's gradients through the token table), so they pin that float64
+    # models still train and evaluate bit for bit as they did.  The init
+    # model's two batch sizes differ in the last bit, so a change of
+    # grouping or summation order shows.
+    FLOAT64_INIT = "91370a166f66d75671c88163e664553bedd21cbae0e43a32dcb192d980a03957"
+    FLOAT64_TRAINED = "f7ff8566e5a194fe5148d53e59030ced568faa8e6a8a35da4081a4a373756d7a"
+    FLOAT64_EVAL_BITS = {
         ("init", 64): "469.02927465792766",
         ("init", 3): "469.0292746579278",
         ("trained", 64): "667.2239750939153",
         ("trained", 3): "667.2239750939153",
     }
 
-    def test_eval_bits(self):
+    def test_float64_path(self, monkeypatch):
+        monkeypatch.setattr(seqmodel, "DTYPE", np.float64)
+        model = init_model(tiny_config())
+        assert hashlib.sha256(model.vector.tobytes()).hexdigest() == self.FLOAT64_INIT
+        assert self.eval_bits(model) == self.FLOAT64_EVAL_BITS
+        assert hashlib.sha256(model.vector.tobytes()).hexdigest() == self.FLOAT64_TRAINED
+
+    @staticmethod
+    def eval_bits(model):
+        """EVAL_BITS of ``model``, which is left trained."""
         rng = substream(9, "eval")
         seqs = [rng.integers(0, 5, rng.integers(1, 12)) for _ in range(40)]
-        model = init_model(tiny_config())
+        bits = {}
         for state in ("init", "trained"):
             if state == "trained":
                 train_model(model, substream(5, "corpus").integers(0, 5, 200))
             for batch in (64, 3):
-                bits = perplexity(model, seqs, eval_batch=batch).total_bits
-                assert repr(bits) == self.EVAL_BITS[state, batch], (state, batch)
+                bits[state, batch] = repr(perplexity(model, seqs, eval_batch=batch).total_bits)
+        return bits
 
 
 class TestInit:
@@ -283,7 +328,7 @@ class TestForward:
         config = ModelConfig(vocab_size=5, embed_dim=H, hidden_dim=H, seed=3)
         model = init_model(config)
         seqs = list(substream(11, "eval").integers(0, 5, (B, T)))
-        record_bytes = config.layers * B * T * (H + 7 * H) * 8
+        record_bytes = config.layers * B * T * (H + 7 * H) * model.vector.itemsize
         tracemalloc.start()
         try:
             perplexity(model, seqs, eval_batch=B)
@@ -293,8 +338,8 @@ class TestForward:
         assert peak < record_bytes / 2
 
     def test_eval_builds_no_gate_buffer(self):
-        # one (B, T, 4H) float64 array is 5.24 MB here; a layer-major
-        # forward builds one per layer and peaks at 8.87 MB
+        # one (B, T, 4H) float32 array is 2.62 MB here (5.24 MB in
+        # float64); a layer-major forward builds one per layer
         B, T, H = 64, 40, 64
         config = ModelConfig(vocab_size=5, embed_dim=H, hidden_dim=H, seed=3)
         model = init_model(config)
@@ -305,7 +350,7 @@ class TestForward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < B * T * 4 * H * 8
+        assert peak < B * T * 4 * H * model.vector.itemsize
 
     def test_rejects_bad_ids(self):
         model = init_model(tiny_config())
@@ -317,14 +362,15 @@ class TestForward:
 
 def layer_major_forward(model, ids, state):
     """Logits and carried (h, c) computed one whole layer at a time, with
-    the layer's input product for every step as one matrix product."""
+    the layer's input product for every step as one matrix product, in the
+    model's dtype."""
     B, T = ids.shape
     H = model.config.hidden_dim
     x = model.embedding[ids]
     new_state = []
     for layer, (h, c) in zip(model.cells, state):
         xw = (x.reshape(B * T, -1) @ layer.w_x).reshape(B, T, 4 * H)
-        x = np.empty((B, T, H))
+        x = np.empty((B, T, H), model.vector.dtype)
         for t in range(T):
             _, _, c, _, h = _gates(xw[:, t] + h @ layer.w_h + layer.bias, c)
             x[:, t] = h
@@ -340,7 +386,7 @@ FULL_ARENAS = [
 ]
 
 
-class TestStepMajorBits:
+class TestStepMajorBits(AtFloat64):
     # The step-major forward takes layer 0's input term from a row of
     # embedding @ w_x and a deeper layer's per step, where a layer-major
     # forward multiplies all B*T rows at once.  The bits agree only while a
@@ -354,7 +400,8 @@ class TestStepMajorBits:
         model = init_model(config)
         rng = substream(config.seed, "ids")
         for B, T in ((20, 20), (64, 50)):
-            state = [(np.zeros((B, hidden)), np.zeros((B, hidden)))] * config.layers
+            zeros = np.zeros((B, hidden), self.DTYPE)
+            state = [(zeros, zeros)] * config.layers
             # a cold window, then one from the carried state
             for _ in range(2):
                 ids = rng.integers(0, V, (B, T))
@@ -366,15 +413,27 @@ class TestStepMajorBits:
                 state = new_state
 
 
-class TestScatterRows:
+class TestStepMajorBitsFloat32(TestStepMajorBits):
+    DTYPE = np.float32
+
+
+class TestScatterRows(AtFloat64):
+    # the reference adds the rows in float64, as bincount does, and rounds
+    # the sums to the rows' dtype
     @pytest.mark.parametrize("V, N, D", [(5, 40, 4), (63, 400, 128), (313, 3200, 8)])
     def test_matches_add_at(self, V, N, D):
         rng = substream(V, "scatter")
         for ids in (rng.integers(0, V, N), rng.integers(0, 3, N), np.zeros(N, np.int64)):
-            rows = rng.standard_normal((N, D))
+            rows = rng.standard_normal((N, D)).astype(self.DTYPE)
             want = np.zeros((V, D))
             np.add.at(want, ids, rows)
-            assert np.array_equal(_scatter_rows(ids, rows, V), want)
+            got = _scatter_rows(ids, rows, V)
+            assert got.dtype == self.DTYPE
+            assert np.array_equal(got, want.astype(self.DTYPE))
+
+
+class TestScatterRowsFloat32(TestScatterRows):
+    DTYPE = np.float32
 
 
 class TestLoss:
@@ -418,11 +477,12 @@ def numeric_gradients(model, ids, targets, step=1e-5):
 class TestBackward:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_gradcheck(self, seed):
+        # in float64, where a 1e-5 central difference is meaningful
         config = ModelConfig(
             vocab_size=3, embed_dim=3, hidden_dim=4, layers=2,
             unroll=3, batch=2, epochs=1, seed=seed,
         )
-        model = init_model(config)
+        model = LstmModel(config, init_model(config).vector.astype(np.float64))
         rng = substream(seed, "data")
         ids = rng.integers(0, 3, (2, 3))
         targets = rng.integers(0, 3, (2, 3))
@@ -431,6 +491,23 @@ class TestBackward:
         for (name, g), n in zip(grads.params(), numeric):
             err = np.abs(g - n).max() / max(np.abs(n).max(), 1e-8)
             assert err <= 1e-4, f"{name}: rel err {err}"
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_float32_agrees_with_float64(self, seed):
+        # the same float32-representable parameters in both dtypes: each
+        # float32 gradient array is within 1e-5 of the float64 one, relative
+        # in L2 norm (float32 rounds at 6e-8)
+        config = ModelConfig(vocab_size=9, embed_dim=32, hidden_dim=32, layers=2,
+                             unroll=10, batch=4, epochs=1, seed=seed)
+        narrow = init_model(config)
+        wide = LstmModel(config, narrow.vector.astype(np.float64))
+        rng = substream(seed, "data")
+        ids, targets = rng.integers(0, 9, (4, 10)), rng.integers(0, 9, (4, 10))
+        got, want = backward(narrow, ids, targets), backward(wide, ids, targets)
+        assert got.vector.dtype == np.float32 and want.vector.dtype == np.float64
+        for (name, g), (_, w) in zip(got.params(), want.params()):
+            err = np.linalg.norm(g - w) / np.linalg.norm(w)
+            assert err <= 1e-5, f"{name}: rel err {err}"
 
     def test_gradients_cover_every_parameter(self):
         model = init_model(tiny_config())
@@ -445,7 +522,7 @@ class TestBackward:
         assert not np.shares_memory(grads.vector, model.vector)
 
 
-class TestClip:
+class TestClip(AtFloat64):
     def test_large_norm_scaled(self):
         model = init_model(tiny_config())
         grads = backward(model, np.zeros((2, 3), np.int64), np.ones((2, 3), np.int64))
@@ -462,6 +539,17 @@ class TestClip:
         clip_gradients(grads, 1e9)
         for (_, g), s in zip(grads.params(), snapshot):
             assert np.array_equal(g, s)
+
+    def test_huge_float32_gradient_clips(self):
+        # 1e20 squares to inf in float32, and a scale of 5/inf would zero
+        # the whole update
+        n = LstmModel(tiny_config()).param_count()
+        grads = LstmModel(tiny_config(), np.zeros(n, np.float32))
+        grads.vector[3], grads.vector[7] = 1e20, -2.0
+        assert clip_gradients(grads, MAX_GRAD_NORM) == pytest.approx(1e20, rel=1e-7)
+        norm = math.sqrt(float(np.square(grads.vector, dtype=np.float64).sum()))
+        assert norm == pytest.approx(MAX_GRAD_NORM, rel=1e-6)
+        assert grads.vector[3] == pytest.approx(MAX_GRAD_NORM, rel=1e-6)
 
 
 class TestTraining:
@@ -494,7 +582,7 @@ class TestTraining:
         assert logs[-1][-1] < logs[0][0] / 2
 
 
-class TestPerplexity:
+class TestPerplexity(AtFloat64):
     def test_zero_model_scores_vocab_size(self):
         model = LstmModel(tiny_config())
         seqs = [np.array([2, 1, 0]), np.array([3, 0])]
@@ -550,6 +638,11 @@ class TestPerplexity:
         assert Evaluation(4, 8.0).perplexity == 4.0
 
 
+class TestPlayByPlayFloat32(AtFloat64):
+    DTYPE = np.float32
+    test_matches_play_by_play_reference = TestPerplexity.test_matches_play_by_play_reference
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
         model = init_model(tiny_config())
@@ -602,6 +695,42 @@ class TestContainer:
         assert back.config == model.config
         seqs = [np.array([1, 2, 3]), np.array([4, 0])]
         assert perplexity(back, seqs) == perplexity(model, seqs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_records_dtype_and_arena(self, tmp_path, dtype):
+        config = tiny_config()
+        model = LstmModel(config, init_model(config).vector.astype(dtype), arena="unit -> unit")
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        data = path.read_bytes()
+        assert int.from_bytes(data[4:8], "little") == seqmodel.FORMAT_VERSION == 2
+        recorded, end = config_block(data)
+        assert (recorded["dtype"], recorded["arena"]) == (np.dtype(dtype).name, "unit -> unit")
+        assert len(data) == end + model.param_count() * np.dtype(dtype).itemsize + 32
+        back = load_model(path)
+        assert back.vector.dtype == dtype and back.arena == "unit -> unit"
+        assert np.array_equal(back.vector, model.vector)
+
+    def test_loads_version_1_as_float64(self, tmp_path):
+        model = init_model(tiny_config())
+        path = tmp_path / "m.model"
+        path.write_bytes(version1_container(model))
+        back = load_model(path)
+        assert back.config == model.config and back.arena is None
+        assert back.vector.dtype == np.float64
+        assert np.array_equal(back.vector, model.vector.astype(np.float64))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"dtype": "float16"}, "dtype must be float32 or float64, got 'float16'"),
+        ({"dtype": None}, "dtype must be float32 or float64, got None"),
+        ({"arena": 7}, "arena must be a type expression, got 7"),
+    ])
+    def test_rejects_bad_stored_fields(self, tmp_path, fields, message):
+        path = tmp_path / "m.model"
+        save_model(init_model(tiny_config()), path)
+        rewrite_config(path, **fields)
+        with pytest.raises(ModelFormatError, match=re.escape(f"bad config block: {message}")):
+            load_model(path)
 
     @pytest.mark.parametrize("field, value", [("embed_dim", 4.0), ("layers", True)])
     def test_rejects_a_non_integer_config(self, tmp_path, field, value):
@@ -667,14 +796,17 @@ def reference_backward(model, ids, targets, state):
     """Every gradient of loss_bits over the window, written out directly:
     layer 0's input is the matrix embedding[ids], each w_x gradient is
     X.T @ dz over the window's B*T rows, and the embedding gradient adds
-    the input gradient's rows by token with np.add.at."""
+    the input gradient's rows by token with np.add.at.  All in the model's
+    dtype, but for the softmax and its gradient, which are float64."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     B, T = ids.shape
     H, V = model.config.hidden_dim, model.config.vocab_size
+    dtype = model.vector.dtype
     xs, saved = [model.embedding[ids]], []
     for layer, (h, c) in zip(model.cells, state):
         x = xs[-1]
-        hs, cs, gates = np.empty((B, T, H)), np.empty((B, T, H)), np.empty((B, T, 4, H))
+        hs, cs = np.empty((B, T, H), dtype), np.empty((B, T, H), dtype)
+        gates = np.empty((B, T, 4, H), dtype)
         for t in range(T):
             z = (x[:, t] @ layer.w_x + h @ layer.w_h + layer.bias).reshape(B, 4, H)
             i, f, o, g = sig(z[:, 0]), sig(z[:, 1]), sig(z[:, 2]), np.tanh(z[:, 3])
@@ -684,20 +816,20 @@ def reference_backward(model, ids, targets, state):
         saved.append((h, c, hs, cs, gates))
         xs.append(hs)
     top = xs[-1].reshape(B * T, H)
-    logits = top @ model.proj + model.proj_bias
+    logits = (top @ model.proj + model.proj_bias).astype(np.float64)
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     p[np.arange(B * T), np.asarray(targets).reshape(-1)] -= 1.0
-    dlogits = p / math.log(2.0)
-    grads = LstmModel(model.config)
+    dlogits = (p / math.log(2.0)).astype(dtype)
+    grads = LstmModel(model.config, np.zeros_like(model.vector))
     grads.proj[...] = top.T @ dlogits
     grads.proj_bias[...] = dlogits.sum(axis=0)
     d_out = (dlogits @ model.proj.T).reshape(B, T, H)
     for l in reversed(range(model.config.layers)):
         layer, (h0, c0) = model.cells[l], state[l]
         _, _, hs, cs, gates = saved[l]
-        dz = np.empty((B, T, 4 * H))
-        dh, dc = np.zeros((B, H)), np.zeros((B, H))
+        dz = np.empty((B, T, 4 * H), dtype)
+        dh, dc = np.zeros((B, H), dtype), np.zeros((B, H), dtype)
         for t in reversed(range(T)):
             i, f, o, g = (gates[:, t, k] for k in range(4))
             cprev = cs[:, t - 1] if t else c0
@@ -719,11 +851,12 @@ def reference_backward(model, ids, targets, state):
     return grads
 
 
-class TestTableGradients:
+class TestTableGradients(AtFloat64):
     # Layer 0's w_x and embedding gradients go through the per-token sums
     # of its dz rows (the transpose of the forward's embedding @ w_x table),
     # not through embedding[ids]; they agree with the direct products up to
-    # summation order.
+    # summation order, within TOLERANCE of each array's largest entry.
+    TOLERANCE = 1e-12
     @pytest.mark.parametrize("case", ["absent", "repeated", "one_row", "h200", "carried"])
     def test_matches_reference_backward(self, case):
         V, H, B, T = 9, 4, 3, 5
@@ -740,16 +873,24 @@ class TestTableGradients:
         if case == "repeated":
             ids = np.full((B, T), 2)
         targets = rng.integers(0, V, (B, T))
-        state = [(np.zeros((B, H)), np.zeros((B, H)))] * config.layers
+        zeros = np.zeros((B, H), self.DTYPE)
+        state = [(zeros, zeros)] * config.layers
         if case == "carried":
             _, state = forward(model, rng.integers(0, V, (B, T)))
         got = backward(model, ids, targets, state)
         want = reference_backward(model, ids, targets, state)
         for (name, g), (_, w) in zip(got.params(), want.params()):
-            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+            assert np.abs(g - w).max() <= self.TOLERANCE * np.abs(w).max(), name
         absent = np.setdiff1d(np.arange(V), ids)
         assert not got.embedding[absent].any()
         assert case != "absent" or absent.size == V - 4
+
+
+class TestTableGradientsFloat32(TestTableGradients):
+    DTYPE = np.float32
+    # 1e-12 is about 4,500 float64 ulps (2.2e-16); this is about 84 float32
+    # ulps (1.2e-7), and the worst case here measured 7.4
+    TOLERANCE = 1e-5
 
 
 def padded_groups(seqs, eval_batch):
@@ -800,7 +941,7 @@ def eval_case(corpus, hidden):
     return model, seqs
 
 
-class TestLiveRowEval:
+class TestLiveRowEval(AtFloat64):
     # perplexity steps only the rows whose play is still going (never fewer
     # than two); its bits equal those of a forward over every padded position
     @pytest.mark.parametrize("hidden", [4, 128])
@@ -823,3 +964,7 @@ class TestLiveRowEval:
             for x, _, mask, lengths in padded_groups(seqs, batch):
                 live, _, _ = _forward(model, x, None, keep=False, lengths=lengths)
                 assert np.array_equal(live[mask], forward(model, x)[0][mask]), batch
+
+
+class TestLiveRowEvalFloat32(TestLiveRowEval):
+    DTYPE = np.float32
