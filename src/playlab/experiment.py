@@ -64,6 +64,24 @@ class ExperimentSpec:
     epochs: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        for name, value, low in (
+            *(("orders", v, 0) for v in self.orders),
+            *(("train_sizes", v, 1) for v in self.train_sizes),
+            ("eval_size", self.eval_size, 1),
+            ("hidden_dim", self.hidden_dim, 1),
+            ("epochs", self.epochs, 1),
+            ("seed", self.seed, None),
+        ):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must hold integers, got {value!r}")
+            if low is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("orders", "train_sizes"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be non-empty without repeats, got {values!r}")
+
     @classmethod
     def desk(cls, seed: int = 0) -> "ExperimentSpec":
         return cls(seed=seed)

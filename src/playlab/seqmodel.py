@@ -467,7 +467,8 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
     The stream is cut into ``batch`` parallel rows; windows of ``unroll``
     steps predict the next token, carrying state across windows within the
     epoch.  ``epoch`` is 1-based and selects the learning rate.  Returns
-    the updated model and the perplexity after each window.
+    the updated model and each window's perplexity, from its forward pass
+    before that window's update.
     """
     config = model.config
     if not 1 <= epoch <= config.epochs:
@@ -603,6 +604,11 @@ def load_model(path) -> LstmModel:
         dtype, arena = _stored_fields(text, version)
     except (ValueError, TypeError, AttributeError) as e:
         raise ModelFormatError(f"bad config block: {e}") from None
+    # each layer holds at least its w_h and bias: reject a layer count the
+    # payload cannot hold before building its layout
+    H = config.hidden_dim
+    if config.layers * 4 * H * (H + 1) * dtype.itemsize > len(body) - offset:
+        raise ModelFormatError("parameter block shorter than config implies")
     n = sum(math.prod(shape) for _, shape in _layout(config))
     end = offset + dtype.itemsize * n
     if end > len(body):

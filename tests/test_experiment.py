@@ -81,6 +81,36 @@ class TestSpec:
         spec = ExperimentSpec(hidden_dim=64)
         assert spec.model_config(5, 0).embed_dim == 64
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"orders": ()}, "orders must be non-empty"),
+        ({"train_sizes": ()}, "train_sizes must be non-empty"),
+        ({"orders": (1, 1)}, "orders must be non-empty without repeats"),
+        ({"train_sizes": (100, 100)}, "train_sizes must be non-empty without repeats"),
+        ({"orders": (-1,)}, "orders must be >= 0"),
+        ({"train_sizes": (0,)}, "train_sizes must be >= 1"),
+        ({"eval_size": 0}, "eval_size must be >= 1"),
+        ({"hidden_dim": 0}, "hidden_dim must be >= 1"),
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"orders": (1.0,)}, "orders must hold integers"),
+        ({"train_sizes": (True,)}, "train_sizes must hold integers"),
+        ({"eval_size": 20.0}, "eval_size must hold integers"),
+        ({"hidden_dim": True}, "hidden_dim must hold integers"),
+        ({"epochs": "1"}, "epochs must hold integers"),
+        ({"seed": 0.5}, "seed must hold integers"),
+    ], ids=["empty-orders", "empty-sizes", "repeated-order", "repeated-size", "negative-order",
+            "zero-size", "zero-eval", "zero-hidden", "zero-epochs", "float-order", "bool-size",
+            "float-eval", "bool-hidden", "str-epochs", "float-seed"])
+    def test_rejects_a_grid_it_cannot_run(self, monkeypatch, setting, message):
+        def no_work(*args):
+            raise AssertionError("ran a cell of a grid it cannot run")
+
+        monkeypatch.setattr(experiment, "run_cell", no_work)
+        with pytest.raises(ValueError, match=message):
+            run_grid(dataclasses.replace(TINY_SPEC, **setting), (PERTURBED,), threads=2)
+
+    def test_accepts_order_0(self):
+        assert ExperimentSpec(orders=(0, 1)).orders == (0, 1)
+
 
 class TestReportCell:
     def test_ratios(self):

@@ -740,6 +740,25 @@ class TestContainer:
         with pytest.raises(ModelFormatError, match=f"bad config block: {field} must be an integer"):
             load_model(path)
 
+    @pytest.mark.parametrize("layers", [3, 10**6, 10**9])
+    def test_rejects_a_layer_count_the_payload_cannot_hold(self, tmp_path, monkeypatch, layers):
+        path = tmp_path / "m.model"
+        save_model(init_model(tiny_config()), path)
+        rewrite_config(path, layers=layers)
+        real, calls = seqmodel._layout, []
+
+        def bounded(config):
+            # a layout of millions of layers takes seconds to minutes to build
+            calls.append(config.layers)
+            if config.layers > 1000:
+                raise AssertionError(f"built the layout of {config.layers} layers")
+            return real(config)
+
+        monkeypatch.setattr(seqmodel, "_layout", bounded)
+        with pytest.raises(ModelFormatError, match="parameter block shorter than config implies"):
+            load_model(path)
+        assert calls == ([] if layers > 1000 else [3])
+
     def _mangle(self, tmp_path, mutate):
         model = init_model(tiny_config())
         path = tmp_path / "m.model"
