@@ -16,7 +16,7 @@ import numpy as np
 
 from .arena import ANSWER, Arena, TypeSyntaxError, make_arena, parse_type, render_type
 from .fileio import write_atomic
-from .play import ILLEGAL, LANGUAGES, PointedPlay, _PlayState, reconstruction_verdict
+from .play import ILLEGAL, LANGUAGES, PointedPlay, _decimal, _PlayState, reconstruction_verdict
 from .rng import Draws
 
 EOP = "$"
@@ -163,9 +163,10 @@ def _header_value(line: str, lineno: int, key: str) -> str:
 
 
 def _header_int(line: str, lineno: int, key: str) -> int:
+    """An integer in the one spelling ``corpus_text`` writes."""
     value = _header_value(line, lineno, key)
     try:
-        return int(value)
+        return _decimal(value)
     except ValueError:
         raise CorpusFormatError(
             f"line {lineno}: #{key} must be an integer, got {value!r}") from None

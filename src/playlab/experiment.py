@@ -328,8 +328,8 @@ def emit_report(report: Report, path) -> Path:
 
 
 def parse_report(path) -> Report:
-    """Read a report CSV back; a malformed, unknown or repeated row raises
-    ValueError naming the file and line."""
+    """Read a report CSV back; a malformed, unknown or repeated row, or one
+    of a cell no grid has, raises ValueError naming the file and line."""
     table: dict[tuple, dict[str, float]] = {}
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -341,6 +341,10 @@ def parse_report(path) -> Report:
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 lang, order, width, size, name, value = row
                 key = (lang, int(order), int(width), int(size))
+                if lang not in LANGUAGES:
+                    raise ValueError(f"language must be one of {LANGUAGES}, got {lang!r}")
+                if key[1] < 0 or key[2] < 1 or key[3] < 1:
+                    raise ValueError(f"no grid has the cell {_label(*key)}")
                 ppl = float(value)
                 # a perplexity is 2^(bits/token), and a loss in bits is never negative
                 if not (math.isfinite(ppl) and ppl >= 1):

@@ -6,9 +6,10 @@ token (perplexity is 2 to the mean bits).
 
 Precision: parameters, activations and gradients are float32 (``DTYPE``).
 The logits are upcast to float64 for the softmax, the loss and the
-softmax gradient, and the clip norm sums squares in float64, so bit totals
-and norms are float64 sums (the wide softmax and loss of mixed-precision
-training, Micikevicius et al. 2018).  Every buffer takes the dtype of
+softmax gradient (``_cross_entropy`` serves ``loss_bits`` and training),
+and the clip norm sums squares in float64, so bit totals and norms are
+float64 sums (the wide softmax and loss of mixed-precision training,
+Micikevicius et al. 2018).  Every buffer takes the dtype of
 ``model.vector``, so a float64 model, such as a gradient check builds or a
 version-1 container holds, runs the same code in float64 throughout.
 
@@ -52,9 +53,10 @@ Parameter layout: every parameter lives in one contiguous
 reshaped views into it, with no gap, in the order of the one name/shape
 table ``_layout``.  Gradients mirror it: ``backward`` returns an
 ``LstmModel`` over a gradient vector, so clip scaling, the SGD step and
-the finite check are each one vector operation.  The container payload
-is the vector's bytes; a version-2 config block also records its dtype and
-the model's arena.
+the finite check are each one vector operation.  ``save_model`` writes
+the container and ``load_model`` reads it: the vector's bytes after a
+JSON config block of the fields, the fixed recipe and, in version 2, the
+payload's dtype and the model's arena.
 """
 
 from __future__ import annotations
@@ -107,28 +109,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-
-    def to_json(self, **stored) -> str:
-        """The fields plus the fixed recipe, so a container records how its
-        model was trained, plus the ``stored`` keys (``save_model`` adds
-        the payload's dtype and the arena)."""
-        return json.dumps(dict(
-            asdict(self),
-            lr_schedule=[learning_rate(e) for e in range(1, self.epochs + 1)],
-            max_grad_norm=MAX_GRAD_NORM,
-            init_scale=INIT_SCALE,
-            **stored,
-        ), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        """The fields; the recorded recipe is skipped, so containers written
-        while the recipe was settable still load, and so are the payload's
-        dtype and the arena, which ``load_model`` reads."""
-        fields = json.loads(text)
-        for key in ("lr_schedule", "max_grad_norm", "init_scale", "dtype", "arena"):
-            fields.pop(key, None)
-        return cls(**fields)
 
 
 @dataclass
@@ -336,20 +316,22 @@ def forward(model: LstmModel, ids, state=None):
     return logits, new_state
 
 
-def _log_sum_exp(flat):
-    """Row-wise log of the softmax normaliser of a (N, V) logit matrix
-    (float64, as the callers upcast it)."""
+def _cross_entropy(logits, targets):
+    """The softmax cross-entropy of (..., V) logits, in float64 whatever
+    their dtype: the (N, V) float64 logits, each row's log normaliser, the
+    (N,) targets, and each row's negative log-likelihood in nats."""
+    V = logits.shape[-1]
+    flat = logits.reshape(-1, V).astype(np.float64, copy=False)
+    tg = np.asarray(targets, dtype=np.int64).reshape(-1)
     m = flat.max(axis=1)
-    return m + np.log(np.exp(flat - m[:, None]).sum(axis=1))
+    lse = m + np.log(np.exp(flat - m[:, None]).sum(axis=1))
+    return flat, lse, tg, lse - flat[np.arange(flat.shape[0]), tg]
 
 
 def loss_bits(logits, targets, mask=None):
     """Total cross-entropy in bits over the window and the token count,
     computed in float64 whatever the logits' dtype."""
-    V = logits.shape[-1]
-    flat = logits.reshape(-1, V).astype(np.float64, copy=False)
-    tg = np.asarray(targets, dtype=np.int64).reshape(-1)
-    nll = _log_sum_exp(flat) - flat[np.arange(flat.shape[0]), tg]
+    _, _, tg, nll = _cross_entropy(logits, targets)
     if mask is not None:
         w = np.asarray(mask, dtype=bool).reshape(-1)
         return float(nll[w].sum() / LN2), int(w.sum())
@@ -406,13 +388,10 @@ def _step(model: LstmModel, ids, targets, state):
     logits, new_state, (records, ids_arr) = _forward(model, ids, state, keep=True)
     B, T, V = logits.shape
     # the softmax, the loss and its gradient run in float64
-    flat = logits.reshape(B * T, V).astype(np.float64, copy=False)
-    tg = np.asarray(targets, dtype=np.int64).reshape(-1)
-    lse = _log_sum_exp(flat)
-    rows = np.arange(flat.shape[0])
-    bits = float((lse - flat[rows, tg]).sum() / LN2)
+    flat, lse, tg, nll = _cross_entropy(logits, targets)
+    bits = float(nll.sum() / LN2)
     dflat = np.exp(flat - lse[:, None])
-    dflat[rows, tg] -= 1.0
+    dflat[np.arange(B * T), tg] -= 1.0
     dflat /= LN2
     dflat = dflat.astype(model.vector.dtype, copy=False)
     # every view is written in full below
@@ -466,9 +445,9 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
 
     The stream is cut into ``batch`` parallel rows; windows of ``unroll``
     steps predict the next token, carrying state across windows within the
-    epoch.  ``epoch`` is 1-based and selects the learning rate.  Returns
-    the updated model and each window's perplexity, from its forward pass
-    before that window's update.
+    epoch.  ``epoch`` is 1-based and selects the learning rate.  The model
+    is updated in place; returns each window's perplexity, from its forward
+    pass before that window's update.
     """
     config = model.config
     if not 1 <= epoch <= config.epochs:
@@ -504,14 +483,14 @@ def sgd_epoch(model: LstmModel, token_ids, epoch: int):
             raise FloatingPointError(
                 f"perplexity overflows at window {w} ({bits / count:.4g} bits per token)"
             ) from None
-    return model, log
+    return log
 
 
 def train_model(model: LstmModel, token_ids, progress=None) -> list[list[float]]:
     """Run every configured epoch; returns the per-window perplexity logs."""
     logs = []
     for epoch in range(1, model.config.epochs + 1):
-        model, log = sgd_epoch(model, token_ids, epoch)
+        log = sgd_epoch(model, token_ids, epoch)
         logs.append(log)
         if progress is not None:
             progress(epoch, log)
@@ -571,10 +550,18 @@ def perplexity(model: LstmModel, sequences, eval_batch: int = 64) -> Evaluation:
 
 
 def save_model(model: LstmModel, path) -> None:
-    """Versioned container: magic, version, config JSON (with the vector's
-    dtype and the model's arena), the parameter vector, sha256 of
-    everything before it; written atomically."""
-    blob = model.config.to_json(dtype=model.vector.dtype.name, arena=model.arena).encode("utf-8")
+    """Versioned container: magic, version, config block, the parameter
+    vector, sha256 of everything before it; written atomically.  The block
+    records how the model was trained, its dtype and its arena."""
+    config = model.config
+    blob = json.dumps(dict(
+        asdict(config),
+        lr_schedule=[learning_rate(e) for e in range(1, config.epochs + 1)],
+        max_grad_norm=MAX_GRAD_NORM,
+        init_scale=INIT_SCALE,
+        dtype=model.vector.dtype.name,
+        arena=model.arena,
+    ), sort_keys=True).encode("utf-8")
     payload = bytearray()
     payload += MAGIC
     payload += FORMAT_VERSION.to_bytes(4, "little")
@@ -599,9 +586,20 @@ def load_model(path) -> LstmModel:
     blob_len = int.from_bytes(body[8:16], "little")
     offset = 16 + blob_len
     try:
-        text = body[16:offset].decode("utf-8")
-        config = ModelConfig.from_json(text)
-        dtype, arena = _stored_fields(text, version)
+        block = json.loads(body[16:offset].decode("utf-8"))
+        # the recorded recipe is skipped, so containers written while it
+        # was settable still load
+        for key in ("lr_schedule", "max_grad_norm", "init_scale"):
+            block.pop(key, None)
+        # version 1 stored a float64 payload and no dtype or arena
+        dtype = block.pop("dtype", "float64" if version == 1 else None)
+        arena = block.pop("arena", None)
+        config = ModelConfig(**block)
+        if dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+        if arena is not None and not isinstance(arena, str):
+            raise ValueError(f"arena must be a type expression, got {arena!r}")
+        dtype = np.dtype(dtype)
     except (ValueError, TypeError, AttributeError) as e:
         raise ModelFormatError(f"bad config block: {e}") from None
     # each layer holds at least its w_h and bias: reject a layer count the
@@ -616,17 +614,3 @@ def load_model(path) -> LstmModel:
     if end != len(body):
         raise ModelFormatError("trailing bytes after parameter block")
     return LstmModel(config, np.frombuffer(body, dtype, n, offset).copy(), arena)
-
-
-def _stored_fields(text: str, version: int) -> tuple[np.dtype, str | None]:
-    """The payload dtype and the arena a config block records; version 1
-    stored float64 and no arena."""
-    if version == 1:
-        return np.dtype(np.float64), None
-    block = json.loads(text)
-    dtype, arena = block.get("dtype"), block.get("arena")
-    if dtype not in ("float32", "float64"):
-        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    if arena is not None and not isinstance(arena, str):
-        raise ValueError(f"arena must be a type expression, got {arena!r}")
-    return np.dtype(dtype), arena

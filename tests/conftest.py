@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import json
@@ -9,6 +10,7 @@ import pytest
 import playlab.fileio
 from playlab.arena import make_arena, parse_type
 from playlab.experiment import ExperimentSpec
+from playlab.seqmodel import INIT_SCALE, MAX_GRAD_NORM, learning_rate
 
 from oracles import play_of
 
@@ -96,10 +98,13 @@ def config_block(data: bytes) -> tuple[dict, int]:
     return json.loads(data[16:end]), end
 
 
-def rewrite_config(path, **fields) -> None:
-    """Edit a model container's config block, with a checksum to match."""
+def rewrite_config(path, drop=(), **fields) -> None:
+    """Edit a model container's config block, with a checksum to match:
+    remove the ``drop`` keys, then set ``fields``."""
     data = path.read_bytes()
     recorded, end = config_block(data)
+    for key in drop:
+        del recorded[key]
     recorded.update(fields)
     blob = json.dumps(recorded, sort_keys=True).encode("utf-8")
     body = data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:-32]
@@ -109,7 +114,13 @@ def rewrite_config(path, **fields) -> None:
 def version1_container(model) -> bytes:
     """``model`` in the container layout of format version 1: the config
     block without the dtype and arena keys, and a float64 payload."""
-    blob = model.config.to_json().encode("utf-8")
+    config = model.config
+    blob = json.dumps(dict(
+        dataclasses.asdict(config),
+        lr_schedule=[learning_rate(e) for e in range(1, config.epochs + 1)],
+        max_grad_norm=MAX_GRAD_NORM,
+        init_scale=INIT_SCALE,
+    ), sort_keys=True).encode("utf-8")
     body = (b"PLLM" + (1).to_bytes(4, "little") + len(blob).to_bytes(8, "little") + blob
             + model.vector.astype(np.float64).tobytes())
     return body + hashlib.sha256(body).digest()

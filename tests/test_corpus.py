@@ -270,7 +270,13 @@ class TestCorpusFile:
         ("#seed 0\n#count 1.5\n", "line 5: #count must be an integer, got '1.5'"),
         ("#seed\n#count 0\n", "line 4: expected '#seed <value>', got '#seed'"),
         ("#seed 0\n", "truncated header: expected 5 header lines, the file has 4"),
-    ], ids=["seed", "count", "no-value", "short"])
+        ("#seed +00\n#count 0\n", "line 4: #seed must be an integer, got '+00'"),
+        ("#seed 0\n#count 0_2\n", "line 5: #count must be an integer, got '0_2'"),
+        ("#seed 01\n#count 0\n", "line 4: #seed must be an integer, got '01'"),
+        ("#seed -0\n#count 0\n", "line 4: #seed must be an integer, got '-0'"),
+        ("#seed 0\n#count \uff11\n", "line 5: #count must be an integer, got '\uff11'"),
+    ], ids=["seed", "count", "no-value", "short", "signed", "underscore", "leading-zero",
+            "negative-zero", "non-ascii-digit"])
     def test_bad_seed_or_count_names_its_line(self, tmp_path, header, message):
         path = self._write(tmp_path, "#version 1\n#arena unit\n#language seq\n" + header)
         with pytest.raises(CorpusFormatError) as err:

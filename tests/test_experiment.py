@@ -355,6 +355,14 @@ class TestReportFile:
           for value in ("0", "-2.0", "nan", "inf", "0.5")),
         ("seq,1,1,10,training,2.0", "unknown or repeated 'training' row for seq/order1/width1/n10"),
         ("seq,1,1,10,test,50.0", "unknown or repeated 'test' row for seq/order1/width1/n10"),
+        *((f"{lang},1,1,10,train,2.0",
+           f"language must be one of ('seq', 'conc'), got '{lang}'")
+          for lang in ("../escaped", "SEQ", "")),
+        *((f"seq,{cell},train,2.0", f"no grid has the cell {label}")
+          for cell, label in (("-3,0,-5", "seq/order-3/width0/n-5"),
+                              ("-1,1,10", "seq/order-1/width1/n10"),
+                              ("1,0,10", "seq/order1/width0/n10"),
+                              ("1,1,0", "seq/order1/width1/n0"))),
     ])
     def test_rejects_malformed_row(self, tmp_path, row, wanted):
         path = tmp_path / "r.csv"

@@ -97,10 +97,6 @@ class TestConfig:
             with pytest.raises(TypeError):
                 tiny_config(**setting)
 
-    def test_json_round_trip(self):
-        config = tiny_config()
-        assert ModelConfig.from_json(config.to_json()) == config
-
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_config(vocab_size=0)
@@ -724,6 +720,7 @@ class TestContainer:
         ({"dtype": "float16"}, "dtype must be float32 or float64, got 'float16'"),
         ({"dtype": None}, "dtype must be float32 or float64, got None"),
         ({"arena": 7}, "arena must be a type expression, got 7"),
+        ({"foo": 1}, "ModelConfig.__init__() got an unexpected keyword argument 'foo'"),
     ])
     def test_rejects_bad_stored_fields(self, tmp_path, fields, message):
         path = tmp_path / "m.model"
@@ -731,6 +728,25 @@ class TestContainer:
         rewrite_config(path, **fields)
         with pytest.raises(ModelFormatError, match=re.escape(f"bad config block: {message}")):
             load_model(path)
+
+    def test_rejects_a_version_2_block_without_dtype(self, tmp_path):
+        # only a version-1 container may leave the payload's dtype unstated
+        path = tmp_path / "m.model"
+        save_model(init_model(tiny_config()), path)
+        rewrite_config(path, drop=("dtype",))
+        message = "bad config block: dtype must be float32 or float64, got None"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["arena", "lr_schedule"])
+    def test_loads_without_an_optional_key(self, tmp_path, key):
+        model = init_model(tiny_config())
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        rewrite_config(path, drop=(key,))
+        back = load_model(path)
+        assert back.config == model.config and back.arena is None
+        assert np.array_equal(back.vector, model.vector)
 
     @pytest.mark.parametrize("field, value", [("embed_dim", 4.0), ("layers", True)])
     def test_rejects_a_non_integer_config(self, tmp_path, field, value):
